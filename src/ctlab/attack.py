@@ -104,7 +104,6 @@ def collect_profile(
     rng: Random,
     *,
     max_failures: int = 100,
-    into: TimingProfile | None = None,
 ) -> TimingProfile:
     """Query ``oracle`` with uniform random plaintexts and accumulate.
 
@@ -112,7 +111,7 @@ def collect_profile(
     ``max_failures`` of them the collection aborts, keeping what was
     gathered so far on the raised error.
     """
-    profile = into if into is not None else TimingProfile()
+    profile = TimingProfile()
     failures = 0
     collected = 0
     while collected < num_samples:
@@ -284,6 +283,8 @@ def load_candidates(path: str | Path) -> CandidateReport:
             j, value, score = int(row[0]), int(row[1]), float(row[2])
             if not (0 <= j < POSITIONS and 0 <= value < VALUES):
                 raise ProfileError(f"candidate out of range: {row!r}")
+            if value in values[j]:
+                raise ProfileError(f"duplicate candidate ({j}, {value})")
             values[j].append(value)
             scores[j].append(score)
     if any(not vals for vals in values):

@@ -12,7 +12,8 @@ hit_cycles/miss_cycles per access plus any flat disturbance cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .aes import TABLE_BYTES, TABLE_IDS
 
@@ -79,11 +80,9 @@ PACKED_BASE = 0x40000
 PARTITION_BASES = (0x10, 0x1000, 0x10000, 0x100000, 0x1000000)
 
 
-def packed_layout(base: int = PACKED_BASE) -> MemoryLayout:
+def packed_layout() -> MemoryLayout:
     """Five tables contiguous at a 64-byte-aligned base."""
-    if base % 64:
-        raise LayoutError("packed base must be 64-byte aligned")
-    return MemoryLayout(tuple(base + i * TABLE_BYTES for i in range(5)))
+    return MemoryLayout(tuple(PACKED_BASE + i * TABLE_BYTES for i in range(5)))
 
 
 def partitioned_layout() -> MemoryLayout:
@@ -132,20 +131,9 @@ class CacheState:
 
     def access(self, address: int) -> bool:
         """Touch one address; returns True on hit. LRU within the set."""
-        block = address >> self._line_shift
-        lru = self._sets[block & self._set_mask]
-        if block in lru:
-            lru.remove(block)
-            lru.append(block)
-            self.hits += 1
-            return True
-        lru.append(block)
-        if len(lru) > self.config.assoc:
-            lru.pop(0)
-        self.misses += 1
-        return False
+        return self.access_all((address,)).hits == 1
 
-    def access_all(self, addresses: list[int]) -> SimResult:
+    def access_all(self, addresses: Sequence[int]) -> SimResult:
         """Touch a pre-resolved address list; returns the per-call delta."""
         h0, m0 = self.hits, self.misses
         shift, mask, assoc = self._line_shift, self._set_mask, self.config.assoc
@@ -168,14 +156,9 @@ class CacheState:
         cfg = self.config
         return SimResult(hits, misses, hits * cfg.hit_cycles + misses * cfg.miss_cycles)
 
-    def resident(self, address: int) -> bool:
-        """Peek without touching; used by tests and diagnostics."""
-        block = address >> self._line_shift
-        return block in self._sets[block & self._set_mask]
-
 
 def interleave_accesses(
-    trace: list[tuple[int, int]], extra: list[tuple[int, int]]
+    trace: list[tuple[int, int]], extra: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int]]:
     """Weave countermeasure accesses into an encryption trace.
 

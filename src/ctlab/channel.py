@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 from .aes import TTABLES, encrypt, expand_key
 from .cachesim import CacheConfig, CacheState, layout_by_name, run_encryption
-from .countermeasures import CostModel, Kind, apply, execute_disturbance, make_state
+from .countermeasures import Kind, apply, execute_disturbance, make_state
 
 log = logging.getLogger("ctlab.channel")
 
@@ -122,7 +122,6 @@ class ChannelConfig:
     scratch_lines: int = 0
     scratch_seed: int = 1
     prng_seed: int | None = 1             # None -> wall-clock seeding (native live mode)
-    cost: CostModel = CostModel()
 
     def __post_init__(self) -> None:
         if len(self.key) != 16:
@@ -165,7 +164,7 @@ class SimulatedBackend:
 
     def handle(self, plaintext: bytes) -> tuple[int, bytes]:
         """Serve one timing request; returns (cycles, ciphertext)."""
-        disturbance = apply(self.kind, self.cm_state, self.config.cost, self.prng)
+        disturbance = apply(self.kind, self.cm_state, self.prng)
         overhead = self.cache.access_all(self.parse_addrs)
         scratch = self.cache.access_all(self.scratch_addrs)
         trace: list[tuple[int, int]] = []
@@ -302,20 +301,27 @@ def _roundtrip(
     timeout: float,
     sock: socket.socket | None,
 ) -> bytes:
+    """Send one request; drop late replies to earlier ones and junk until its own arrives."""
     own = sock is None
     if own:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        sock.settimeout(timeout)
         sock.sendto(encode_request(msg_type, plaintext, packet_size), endpoint)
-        try:
-            datagram, _ = sock.recvfrom(65535)
-        except socket.timeout as exc:
-            raise ChannelTimeout(f"no response from {endpoint}") from exc
-        rtype, echo, payload = decode_response(datagram)
-        if rtype != msg_type or echo != plaintext:
-            raise ChannelError("response does not match request")
-        return payload
+        deadline = time.monotonic() + timeout
+        while (remaining := deadline - time.monotonic()) > 0:
+            sock.settimeout(remaining)
+            try:
+                datagram, _ = sock.recvfrom(65535)
+            except socket.timeout:
+                break
+            try:
+                rtype, echo, payload = decode_response(datagram)
+            except WireError as exc:
+                log.warning("dropped malformed response: %s", exc)
+                continue
+            if rtype == msg_type and echo == plaintext:
+                return payload
+        raise ChannelTimeout(f"no response from {endpoint}")
     finally:
         if own:
             sock.close()

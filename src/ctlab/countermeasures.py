@@ -5,7 +5,7 @@ flat extra cycles, extra table accesses to interleave, or a table
 layout override. Ciphertexts are never touched, so every variant is
 semantics-preserving by construction.
 
-In native mode the same decisions drive real executed code (busy loops,
+In native mode the same reports drive real executed code (a busy loop,
 actual table reads) inside the timed window; see execute_disturbance.
 Cache partitioning is simulation-only there: CPython offers no control
 over where list storage lands, so the native variant is a documented
@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import enum
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .aes import TTABLES, TTableSet
+from .aes import TTABLES
 
 
 class Kind(enum.Enum):
@@ -33,18 +34,10 @@ class StateError(ValueError):
     """Countermeasure state object does not match the requested kind."""
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Flat cycle charges for disturbance work outside the cache model."""
-
-    rng_cycles: int = 3800       # one PRNG draw
-    loop_iter_cycles: int = 7    # one dummy loop iteration
-    div_cycles: int = 20         # one integer division
-
-    def __post_init__(self) -> None:
-        if min(self.rng_cycles, self.loop_iter_cycles, self.div_cycles) < 0:
-            raise ValueError("cycle costs must be non-negative")
-
+# Flat cycle charges for disturbance work outside the cache model.
+RNG_CYCLES = 3800       # one PRNG draw
+LOOP_ITER_CYCLES = 7    # one dummy loop iteration
+DIV_CYCLES = 20         # one integer division
 
 RANDOM_LOOP_BOUND = 20
 
@@ -58,8 +51,6 @@ PREFETCH_WINDOW = 16
 @dataclass
 class SpecifiedLoopState:
     gen: int = SPECIFIED_SEED
-    divisor: int = SPECIFIED_DIVISOR
-    reset_below: int = SPECIFIED_RESET_BELOW
 
 
 @dataclass
@@ -74,8 +65,9 @@ class PrefetchState:
 @dataclass
 class DisturbanceReport:
     extra_cycles: int = 0
-    extra_accesses: list[tuple[int, int]] = field(default_factory=list)
+    extra_accesses: Sequence[tuple[int, int]] = field(default_factory=list)
     layout_override: str | None = None
+    loop_count: int = 0  # dummy-loop iterations the native path executes
 
 
 def random_loop_next(prng: random.Random) -> int:
@@ -90,8 +82,8 @@ def specified_loop_next(state: SpecifiedLoopState) -> int:
     6 reloads the seed value and yields a zero count, so the emitted
     sequence is 104, 6, 0 repeating.
     """
-    nxt = state.gen // state.divisor
-    if nxt < state.reset_below:
+    nxt = state.gen // SPECIFIED_DIVISOR
+    if nxt < SPECIFIED_RESET_BELOW:
         state.gen = SPECIFIED_SEED
         return 0
     state.gen = nxt
@@ -113,61 +105,60 @@ def prefetch_next(state: PrefetchState) -> list[tuple[int, int]]:
     return window
 
 
-def random_loop_cycles(n: int, cost: CostModel) -> int:
-    return cost.rng_cycles + n * cost.loop_iter_cycles
+# The five-window run apply() injects, for each of the 16 window starts.
+# Runs share the (table, index) entries of the windows instead of copying them.
+_WINDOWS = [prefetch_next(PrefetchState(w)) for w in range(0, 256, PREFETCH_WINDOW)]
+PREFETCH_RUNS = tuple(
+    tuple(entry for k in range(w, w + 5) for entry in _WINDOWS[k % len(_WINDOWS)])
+    for w in range(len(_WINDOWS))
+)
 
 
-def specified_loop_cycles(count: int, cost: CostModel) -> int:
-    return cost.div_cycles + count * cost.loop_iter_cycles
+def random_loop_cycles(n: int) -> int:
+    return RNG_CYCLES + n * LOOP_ITER_CYCLES
+
+
+def specified_loop_cycles(count: int) -> int:
+    return DIV_CYCLES + count * LOOP_ITER_CYCLES
+
+
+# The state object each stateful kind carries between encryptions.
+_STATE_TYPES = {Kind.SPECIFIED_LOOP: SpecifiedLoopState, Kind.PREFETCH: PrefetchState}
 
 
 def make_state(kind: Kind):
     """Fresh per-server countermeasure state; None for stateless kinds."""
-    if kind is Kind.SPECIFIED_LOOP:
-        return SpecifiedLoopState()
-    if kind is Kind.PREFETCH:
-        return PrefetchState()
-    return None
-
-
-def _check_state(kind: Kind, state, expected: type | None):
-    if expected is None:
-        if state is not None:
-            raise StateError(f"{kind.value} takes no state, got {type(state).__name__}")
-        return None
-    if not isinstance(state, expected):
-        raise StateError(f"{kind.value} requires {expected.__name__}")
-    return state
+    state_type = _STATE_TYPES.get(kind)
+    return None if state_type is None else state_type()
 
 
 def apply(
     kind: Kind,
     state=None,
-    cost: CostModel = CostModel(),
     prng: random.Random | None = None,
 ) -> DisturbanceReport:
     """Produce one encryption's disturbance for the given countermeasure."""
+    expected = _STATE_TYPES.get(kind)
+    if expected is None and state is not None:
+        raise StateError(f"{kind.value} takes no state, got {type(state).__name__}")
+    if expected is not None and not isinstance(state, expected):
+        raise StateError(f"{kind.value} requires {expected.__name__}")
     if kind is Kind.NONE:
-        _check_state(kind, state, None)
         return DisturbanceReport()
     if kind is Kind.RANDOM_LOOP:
-        _check_state(kind, state, None)
         if prng is None:
             raise StateError("random_loop requires a PRNG")
         n = random_loop_next(prng)
-        return DisturbanceReport(extra_cycles=random_loop_cycles(n, cost))
+        return DisturbanceReport(extra_cycles=random_loop_cycles(n), loop_count=n)
     if kind is Kind.SPECIFIED_LOOP:
-        st = _check_state(kind, state, SpecifiedLoopState)
-        count = specified_loop_next(st)
-        return DisturbanceReport(extra_cycles=specified_loop_cycles(count, cost))
+        count = specified_loop_next(state)
+        return DisturbanceReport(extra_cycles=specified_loop_cycles(count), loop_count=count)
     if kind is Kind.PREFETCH:
-        st = _check_state(kind, state, PrefetchState)
-        accesses: list[tuple[int, int]] = []
-        for _ in range(5):  # once per main-loop iteration
-            accesses.extend(prefetch_next(st))
-        return DisturbanceReport(extra_accesses=accesses)
+        run = PREFETCH_RUNS[state.window_start // PREFETCH_WINDOW]
+        # five windows, one per main-loop iteration
+        state.window_start = (state.window_start + 5 * PREFETCH_WINDOW) % 256
+        return DisturbanceReport(extra_accesses=run)
     if kind is Kind.CACHE_PARTITION:
-        _check_state(kind, state, None)
         return DisturbanceReport(layout_override="partitioned")
     raise StateError(f"unknown countermeasure kind {kind!r}")
 
@@ -176,36 +167,16 @@ def execute_disturbance(
     kind: Kind,
     state=None,
     prng: random.Random | None = None,
-    tables: TTableSet = TTABLES,
 ) -> None:
     """Run the countermeasure's real work for native timing.
 
-    The busy loops and table reads execute here so a hardware timer sees
-    them; the decisions (loop counts, window positions) are shared with
-    apply() through the same helpers.
+    The busy loop and table reads execute here so a hardware timer sees
+    them; what they do is apply()'s report for the same kind and state.
     """
-    if kind is Kind.NONE or kind is Kind.CACHE_PARTITION:
-        return
-    if kind is Kind.RANDOM_LOOP:
-        if prng is None:
-            raise StateError("random_loop requires a PRNG")
-        n = random_loop_next(prng)
-        acc = 0
-        for i in range(n):
-            acc += i
-        return
-    if kind is Kind.SPECIFIED_LOOP:
-        st = _check_state(kind, state, SpecifiedLoopState)
-        count = specified_loop_next(st)
-        acc = 0
-        for i in range(count):
-            acc += i
-        return
-    if kind is Kind.PREFETCH:
-        st = _check_state(kind, state, PrefetchState)
-        sink = [0] * PREFETCH_WINDOW
-        for _ in range(5):
-            for tid, idx in prefetch_next(st):
-                sink[idx % PREFETCH_WINDOW] = tables[tid][idx]
-        return
-    raise StateError(f"unknown countermeasure kind {kind!r}")
+    report = apply(kind, state, prng=prng)
+    acc = 0
+    for i in range(report.loop_count):
+        acc += i
+    sink = [0] * PREFETCH_WINDOW
+    for tid, idx in report.extra_accesses:
+        sink[idx % PREFETCH_WINDOW] = TTABLES[tid][idx]

@@ -241,6 +241,16 @@ def _derived_seeds(config: ExperimentConfig, run: int) -> tuple[int, int]:
     return base, base + 1
 
 
+def _collect(cfg: ChannelConfig, samples: int, seed: int) -> atk.TimingProfile:
+    """Profile a fresh backend for cfg with ``samples`` seeded plaintexts."""
+    backend = make_backend(cfg)
+    return atk.collect_profile(lambda pt: backend.handle(pt)[0], samples, Random(seed))
+
+
+def _mean_cycles(profile: atk.TimingProfile) -> float:
+    return sum(profile.sums[0]) / profile.total_samples
+
+
 def run_experiment(
     config: ExperimentConfig, *, baseline_cycles: float | None = None
 ) -> EfficiencyReport:
@@ -269,22 +279,10 @@ def run_experiment(
                 first_attack_cfg = attack_cfg
 
             stage = "collect_study"
-            study_backend = make_backend(study_cfg)
-            study_profile = atk.collect_profile(
-                lambda pt: study_backend.handle(pt)[0],
-                config.samples_study,
-                Random(study_seed),
-            )
+            study_profile = _collect(study_cfg, config.samples_study, study_seed)
             stage = "collect_attack"
-            attack_backend = make_backend(attack_cfg)
-            attack_profile = atk.collect_profile(
-                lambda pt: attack_backend.handle(pt)[0],
-                config.samples_attack,
-                Random(attack_seed),
-            )
-            cycle_means.append(
-                sum(attack_profile.sums[0]) / attack_profile.total_samples
-            )
+            attack_profile = _collect(attack_cfg, config.samples_attack, attack_seed)
+            cycle_means.append(_mean_cycles(attack_profile))
 
             stage = "correlate"
             corr = atk.correlate(
@@ -297,15 +295,8 @@ def run_experiment(
             if config.countermeasure is not Kind.NONE and baseline_cycles is None:
                 stage = "baseline"
                 base_cfg = config.channel_config(config.attack_key, run, kind=Kind.NONE)
-                base_backend = make_backend(base_cfg)
-                base_profile = atk.collect_profile(
-                    lambda pt: base_backend.handle(pt)[0],
-                    config.samples_attack,
-                    Random(attack_seed),
-                )
-                baseline_means.append(
-                    sum(base_profile.sums[0]) / base_profile.total_samples
-                )
+                base_profile = _collect(base_cfg, config.samples_attack, attack_seed)
+                baseline_means.append(_mean_cycles(base_profile))
             stage = "setup"
 
         stage = "score"
@@ -405,7 +396,7 @@ def emit_report(rows, fmt: str = "table") -> str:
             )
         return out.getvalue()
     if fmt == "table":
-        header = ("countermeasure", "m", "c", "s", "efficiency", "keyspace_log2")
+        header = REPORT_HEADER
         body = [
             (
                 r.countermeasure,

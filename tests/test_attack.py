@@ -252,6 +252,17 @@ def test_candidate_csv_roundtrip(tmp_path):
     assert loaded.scores == report.scores
 
 
+def test_candidate_csv_rejects_duplicate_value(tmp_path):
+    rows = ["position,value,score"] + [f"{j},{j},1.0" for j in range(16)]
+    path = tmp_path / "cands.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert atk.load_candidates(path).keyspace_size == 1
+    # a repeated value would count the same key twice in the keyspace
+    path.write_text("\n".join(rows + ["3,3,0.5"]) + "\n")
+    with pytest.raises(atk.ProfileError, match="duplicate"):
+        atk.load_candidates(path)
+
+
 def test_collect_profile_deterministic():
     def oracle(pt: bytes) -> int:
         return pt[0] * 3 + pt[5]

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import socket
 import struct
+import threading
+import time
 
 import pytest
 
 from ctlab import aes
+from ctlab import attack as atk
 from ctlab import channel as ch
 from ctlab.cachesim import CacheConfig
 from ctlab.countermeasures import Kind
@@ -218,3 +223,70 @@ def test_key_never_on_the_wire():
 def test_timeout_raises_channel_timeout():
     with pytest.raises(ch.ChannelTimeout):
         ch.measure_once(("127.0.0.1", 1), bytes(16), timeout=0.05)
+
+
+def _fake_cycles(pt: bytes) -> int:
+    return int.from_bytes(pt[:4], "little")
+
+
+@contextlib.contextmanager
+def fake_server(before_reply):
+    """A UDP peer that answers timing requests with _fake_cycles.
+
+    before_reply(n, sock, peer) runs ahead of the n-th reply, to delay it
+    or to send the client other datagrams first.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        n = 0
+        while not stop.is_set():
+            try:
+                datagram, peer = sock.recvfrom(65535)
+            except socket.timeout:
+                continue
+            _, pt = ch.decode_request(datagram)
+            before_reply(n, sock, peer)
+            payload = struct.pack("<Q", _fake_cycles(pt))
+            sock.sendto(ch.encode_response(ch.MSG_TIMING, pt, payload), peer)
+            n += 1
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield sock.getsockname()
+    finally:
+        stop.set()
+        thread.join(timeout=2)
+        sock.close()
+    assert not thread.is_alive()
+
+
+def test_oracle_resyncs_after_a_late_reply():
+    def delay_first(n, sock, peer):
+        if n == 0:
+            time.sleep(0.15)  # past the client timeout: the reply arrives during a retry
+
+    rng = random.Random(5)
+    with fake_server(delay_first) as endpoint:
+        with ch.UdpOracle(endpoint, timeout=0.1, retries=2) as oracle:
+            for _ in range(50):
+                pt = rng.randbytes(16)
+                assert oracle(pt) == _fake_cycles(pt)
+            assert oracle.timeouts >= 1
+
+
+def test_collection_survives_junk_datagrams():
+    def junk(n, sock, peer):
+        sock.sendto(b"a" * 5, peer)  # does not parse
+        stray = ch.encode_response(ch.MSG_CIPHERTEXT, bytes(16), bytes(16))
+        sock.sendto(stray, peer)  # parses, but answers no request of the client
+
+    with fake_server(junk) as endpoint:
+        with ch.UdpOracle(endpoint, timeout=1.0) as oracle:
+            profile = atk.collect_profile(oracle, 64, random.Random(2))
+            assert oracle.timeouts == 0
+    assert profile == atk.collect_profile(_fake_cycles, 64, random.Random(2))

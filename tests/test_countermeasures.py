@@ -30,13 +30,12 @@ def test_specified_loop_hand_trace():
 
 
 def test_specified_loop_cost():
-    cost = cm.CostModel()
     st = cm.SpecifiedLoopState()
     first = cm.apply(cm.Kind.SPECIFIED_LOOP, st)
     assert first.extra_cycles == 20 + 104 * 7 == 748
     assert cm.apply(cm.Kind.SPECIFIED_LOOP, st).extra_cycles == 20 + 6 * 7
     assert cm.apply(cm.Kind.SPECIFIED_LOOP, st).extra_cycles == 20
-    assert cm.specified_loop_cycles(104, cost) == 748
+    assert cm.specified_loop_cycles(104) == 748
 
 
 def test_random_loop_range_and_golden_sequence():
@@ -61,10 +60,9 @@ def test_random_loop_uniformity_five_sigma():
 
 
 def test_random_loop_cost_formula():
-    cost = cm.CostModel()
     # Formula pinned at the bound itself and at real draw values.
-    assert cm.random_loop_cycles(20, cost) == 3800 + 20 * 7 == 3940
-    assert cm.random_loop_cycles(0, cost) == 3800
+    assert cm.random_loop_cycles(20) == 3800 + 20 * 7 == 3940
+    assert cm.random_loop_cycles(0) == 3800
     prng = random.Random(42)
     rep = cm.apply(cm.Kind.RANDOM_LOOP, prng=prng)
     assert 3800 <= rep.extra_cycles <= 3800 + 19 * 7
@@ -103,6 +101,16 @@ def test_prefetch_apply_five_windows():
     assert st.window_start == 80  # advanced five windows
 
 
+@pytest.mark.parametrize("start", range(0, 256, 16))
+def test_prefetch_run_is_five_successive_windows(start):
+    oracle = cm.PrefetchState(window_start=start)
+    expected = [entry for _ in range(5) for entry in cm.prefetch_next(oracle)]
+    st = cm.PrefetchState(window_start=start)
+    rep = cm.apply(cm.Kind.PREFETCH, st)
+    assert list(rep.extra_accesses) == expected
+    assert st.window_start == oracle.window_start == (start + 80) % 256
+
+
 def test_none_report_is_empty():
     rep = cm.apply(cm.Kind.NONE)
     assert rep == cm.DisturbanceReport(0, [], None)
@@ -123,6 +131,25 @@ def test_state_kind_mismatch_errors():
         cm.apply(cm.Kind.NONE, state=cm.PrefetchState())
     with pytest.raises(cm.StateError):
         cm.apply(cm.Kind.RANDOM_LOOP, prng=None)
+
+
+# For each kind, a state object of the wrong type (None where one is required).
+WRONG_STATE = {
+    cm.Kind.NONE: cm.PrefetchState(),
+    cm.Kind.RANDOM_LOOP: cm.SpecifiedLoopState(),
+    cm.Kind.SPECIFIED_LOOP: cm.PrefetchState(),
+    cm.Kind.PREFETCH: None,
+    cm.Kind.CACHE_PARTITION: cm.SpecifiedLoopState(),
+}
+
+
+@pytest.mark.parametrize("kind", list(cm.Kind), ids=lambda k: k.value)
+def test_native_and_simulated_reject_the_same_states(kind):
+    prng = random.Random(1)
+    with pytest.raises(cm.StateError):
+        cm.apply(kind, WRONG_STATE[kind], prng)
+    with pytest.raises(cm.StateError):
+        cm.execute_disturbance(kind, WRONG_STATE[kind], prng)
 
 
 def test_make_state():
