@@ -58,9 +58,6 @@ class TTableSet(NamedTuple):
     te3: tuple[int, ...]
     te4: tuple[int, ...]
 
-    def table(self, table_id: int) -> tuple[int, ...]:
-        return self[table_id]
-
 
 def xtime(b: int) -> int:
     """Multiply by x in GF(2^8) with the AES reduction polynomial."""

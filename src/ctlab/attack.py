@@ -19,13 +19,19 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelError
-
 POSITIONS = 16
 VALUES = 256
 
 PROFILE_HEADER = ("position", "value", "count", "sum_cycles", "sumsq_cycles")
 CANDIDATE_HEADER = ("position", "value", "score")
+
+
+class ChannelError(RuntimeError):
+    """An oracle could not deliver a measurement.
+
+    This is the failure contract of any oracle passed to collect_profile,
+    which counts it and draws a fresh plaintext.
+    """
 
 
 class ProfileError(ValueError):
@@ -67,26 +73,10 @@ class TimingProfile:
             self.sums[j][v] += cycles
             self.sumsqs[j][v] += sq
 
-    def merge(self, other: "TimingProfile") -> None:
-        for j in range(POSITIONS):
-            mc, ms, mq = self.counts[j], self.sums[j], self.sumsqs[j]
-            oc, os_, oq = other.counts[j], other.sums[j], other.sumsqs[j]
-            for v in range(VALUES):
-                mc[v] += oc[v]
-                ms[v] += os_[v]
-                mq[v] += oq[v]
-
     @property
     def total_samples(self) -> int:
         # every sample lands in exactly one bucket per position
         return sum(self.counts[0])
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.array(self.counts, dtype=np.float64),
-            np.array(self.sums, dtype=np.float64),
-            np.array(self.sumsqs, dtype=np.float64),
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimingProfile):
@@ -143,7 +133,8 @@ class SignatureMatrix:
 
 
 def signature(profile: TimingProfile) -> SignatureMatrix:
-    counts, sums, _ = profile.as_arrays()
+    counts = np.array(profile.counts, dtype=np.float64)
+    sums = np.array(profile.sums, dtype=np.float64)
     per_position = counts.sum(axis=1)
     if np.any(per_position == 0):
         raise ProfileError("profile has no samples")

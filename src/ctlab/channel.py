@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .aes import TTABLES, encrypt, expand_key
+from .attack import ChannelError
 from .cachesim import CacheConfig, CacheState, layout_by_name, run_encryption
 from .countermeasures import Kind, apply, execute_disturbance, make_state
 
@@ -58,10 +59,6 @@ def default_port() -> int:
 
 class WireError(ValueError):
     """Datagram does not parse under the channel wire format."""
-
-
-class ChannelError(RuntimeError):
-    """Measurement against a timing server failed."""
 
 
 class ChannelTimeout(ChannelError):
@@ -211,24 +208,6 @@ def make_backend(config: ChannelConfig):
     return NativeBackend(config)
 
 
-@dataclass(frozen=True)
-class TimerCalibration:
-    resolution_ns: int
-    overhead_ns: int
-
-
-def calibrate_timer(samples: int = 2000) -> TimerCalibration:
-    """Report the granularity and per-read cost of the native timer."""
-    deltas = []
-    for _ in range(samples):
-        t0 = time.perf_counter_ns()
-        t1 = time.perf_counter_ns()
-        deltas.append(t1 - t0)
-    positive = sorted(d for d in deltas if d > 0) or [1]
-    deltas.sort()
-    return TimerCalibration(positive[0], deltas[len(deltas) // 2])
-
-
 class TimingServer:
     """Strictly serial UDP victim; one request, one response."""
 
@@ -293,50 +272,15 @@ class TimingSample:
     cycles: int
 
 
-def _roundtrip(
-    endpoint: tuple[str, int],
-    msg_type: int,
-    plaintext: bytes,
-    packet_size: int,
-    timeout: float,
-    sock: socket.socket | None,
-) -> bytes:
-    """Send one request; drop late replies to earlier ones and junk until its own arrives."""
-    own = sock is None
-    if own:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    try:
-        sock.sendto(encode_request(msg_type, plaintext, packet_size), endpoint)
-        deadline = time.monotonic() + timeout
-        while (remaining := deadline - time.monotonic()) > 0:
-            sock.settimeout(remaining)
-            try:
-                datagram, _ = sock.recvfrom(65535)
-            except socket.timeout:
-                break
-            try:
-                rtype, echo, payload = decode_response(datagram)
-            except WireError as exc:
-                log.warning("dropped malformed response: %s", exc)
-                continue
-            if rtype == msg_type and echo == plaintext:
-                return payload
-        raise ChannelTimeout(f"no response from {endpoint}")
-    finally:
-        if own:
-            sock.close()
-
-
 def measure_once(
     endpoint: tuple[str, int],
     plaintext: bytes,
     packet_size: int = DEFAULT_PACKET_SIZE,
     timeout: float = 1.0,
-    sock: socket.socket | None = None,
 ) -> TimingSample:
-    """One timing probe: send a 0x01 request, return the reported cycles."""
-    payload = _roundtrip(endpoint, MSG_TIMING, plaintext, packet_size, timeout, sock)
-    return TimingSample(plaintext, struct.unpack("<Q", payload)[0])
+    """One timing probe, one attempt: send a 0x01 request, return the reported cycles."""
+    with UdpOracle(endpoint, packet_size, timeout, retries=0) as oracle:
+        return TimingSample(plaintext, oracle(plaintext))
 
 
 def ciphertext_query(
@@ -344,10 +288,10 @@ def ciphertext_query(
     plaintext: bytes,
     packet_size: int = DEFAULT_PACKET_SIZE,
     timeout: float = 1.0,
-    sock: socket.socket | None = None,
 ) -> bytes:
-    """Fetch the ciphertext for one plaintext via a 0x02 request."""
-    return _roundtrip(endpoint, MSG_CIPHERTEXT, plaintext, packet_size, timeout, sock)
+    """Fetch the ciphertext for one plaintext via a 0x02 request, one attempt."""
+    with UdpOracle(endpoint, packet_size, timeout, retries=0) as oracle:
+        return oracle.ciphertext(plaintext)
 
 
 class UdpOracle:
@@ -360,6 +304,8 @@ class UdpOracle:
         timeout: float = 1.0,
         retries: int = 2,
     ) -> None:
+        if retries < 0:
+            raise ValueError("retries must be non-negative")
         self.endpoint = endpoint
         self.packet_size = packet_size
         self.timeout = timeout
@@ -367,22 +313,34 @@ class UdpOracle:
         self.timeouts = 0
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
 
-    def __call__(self, plaintext: bytes) -> int:
-        last: ChannelError | None = None
+    def _request(self, msg_type: int, plaintext: bytes) -> bytes:
+        """Send one request, resending on each timeout; drop late replies to
+        earlier requests and junk until a reply to this one arrives."""
+        datagram = encode_request(msg_type, plaintext, self.packet_size)
         for _ in range(self.retries + 1):
-            try:
-                return measure_once(
-                    self.endpoint, plaintext, self.packet_size, self.timeout, self.sock
-                ).cycles
-            except ChannelTimeout as exc:
-                self.timeouts += 1
-                last = exc
-        raise last if last is not None else ChannelError("measurement failed")
+            self.sock.sendto(datagram, self.endpoint)
+            deadline = time.monotonic() + self.timeout
+            while (remaining := deadline - time.monotonic()) > 0:
+                self.sock.settimeout(remaining)
+                try:
+                    reply, _ = self.sock.recvfrom(65535)
+                except socket.timeout:
+                    break
+                try:
+                    rtype, echo, payload = decode_response(reply)
+                except WireError as exc:
+                    log.warning("dropped malformed response: %s", exc)
+                    continue
+                if rtype == msg_type and echo == plaintext:
+                    return payload
+            self.timeouts += 1
+        raise ChannelTimeout(f"no response from {self.endpoint}")
+
+    def __call__(self, plaintext: bytes) -> int:
+        return struct.unpack("<Q", self._request(MSG_TIMING, plaintext))[0]
 
     def ciphertext(self, plaintext: bytes) -> bytes:
-        return ciphertext_query(
-            self.endpoint, plaintext, self.packet_size, self.timeout, self.sock
-        )
+        return self._request(MSG_CIPHERTEXT, plaintext)
 
     def close(self) -> None:
         self.sock.close()

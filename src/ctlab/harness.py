@@ -359,14 +359,11 @@ def run_experiment(
         )
 
 
-def run_sweep(
-    config: ExperimentConfig, kinds: tuple[Kind, ...] = ALL_KINDS
-) -> list[EfficiencyReport]:
+def run_sweep(config: ExperimentConfig) -> list[EfficiencyReport]:
     """One experiment per kind at a shared sample budget, baseline first."""
-    ordered = (Kind.NONE,) + tuple(k for k in kinds if k is not Kind.NONE)
     baseline_report = run_experiment(replace(config, countermeasure=Kind.NONE))
     out = [baseline_report]
-    for kind in ordered[1:]:
+    for kind in ALL_KINDS[1:]:
         out.append(
             run_experiment(
                 replace(config, countermeasure=kind),

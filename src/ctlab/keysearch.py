@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -54,18 +55,6 @@ class FitError(ValueError):
 
 
 @dataclass(frozen=True)
-class SearchModel:
-    """Linear search-time model: seconds = alpha * keyspace."""
-
-    alpha: float
-    fit_points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
     found: bytes | None
     keys_tested: int
@@ -73,7 +62,7 @@ class SearchOutcome:
 
 
 _SBOX32 = np.array(aes.SBOX, dtype=np.uint32)
-_TE = tuple(np.array(aes.TTABLES.table(t), dtype=np.uint32) for t in range(4))
+_TE = tuple(np.array(aes.TTABLES[t], dtype=np.uint32) for t in range(4))
 _RCON32 = np.array([r << 24 for r in aes.RCON], dtype=np.uint32)
 _B8 = np.uint32(8)
 _B16 = np.uint32(16)
@@ -195,6 +184,8 @@ def brute_force(
     values = _ordered_values(cands, order)
     sizes = [len(v) for v in values]
     total = math.prod(sizes)
+    if total > 1 << 62:
+        raise SearchError("key space too large to enumerate exhaustively")
     started = time.perf_counter()
 
     pt0, ct0 = pairs[0]
@@ -203,45 +194,18 @@ def brute_force(
         dtype=np.uint32,
     )
 
-    def scan(start: int, count: int) -> list[tuple[int, bytes]]:
-        keys = _chunk_keys(values, sizes, start, count)
+    def scan(start: int) -> list[tuple[int, bytes]]:
+        keys = _chunk_keys(values, sizes, start, min(chunk_size, total - start))
         words = encrypt_batch(pt0, expand_batch(keys))
         matching = np.nonzero((words == expected).all(axis=1))[0]
         return [(start + int(i), keys[i].tobytes()) for i in matching]
 
-    def chunks():
-        start = 0
-        while start < total:
-            if start >= 1 << 62:
-                raise SearchError("key space too large to enumerate exhaustively")
-            count = min(chunk_size, total - start)
-            yield start, count
-            start += count
-
-    def settle(hits: list[tuple[int, bytes]]) -> SearchOutcome | None:
-        for rank, key in sorted(hits):
-            if _verify_scalar(key, pairs):
-                return SearchOutcome(key, rank + 1, time.perf_counter() - started)
-        return None
-
-    chunk_iter = chunks()
-    if threads == 1:
-        for start, count in chunk_iter:
-            outcome = settle(scan(start, count))
-            if outcome is not None:
-                return outcome
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while True:
-                wave = [c for _, c in zip(range(threads), chunk_iter)]
-                if not wave:
-                    break
-                hits: list[tuple[int, bytes]] = []
-                for part in pool.map(lambda c: scan(*c), wave):
-                    hits.extend(part)
-                outcome = settle(hits)
-                if outcome is not None:
-                    return outcome
+    starts = iter(range(0, total, chunk_size))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        while wave := list(islice(starts, threads)):
+            for rank, key in sorted(hit for part in pool.map(scan, wave) for hit in part):
+                if _verify_scalar(key, pairs):
+                    return SearchOutcome(key, rank + 1, time.perf_counter() - started)
     return SearchOutcome(None, total, time.perf_counter() - started)
 
 
@@ -308,12 +272,6 @@ def fit_rate(points, min_size: float = DEFAULT_FIT_THRESHOLD) -> float:
     num = math.fsum(float(s) * t for s, t in kept)
     den = math.fsum(float(s) ** 2 for s, _ in kept)
     return num / den
-
-
-def fit_model(points, min_size: float = DEFAULT_FIT_THRESHOLD) -> SearchModel:
-    alpha = fit_rate(points, min_size)
-    kept = tuple((int(s), float(t)) for s, t in points if s >= min_size)
-    return SearchModel(alpha, kept)
 
 
 def fit_residual_r2(points, alpha: float) -> float:

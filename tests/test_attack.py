@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctlab import attack as atk
-from ctlab.channel import ChannelConfig, ChannelError, SimulatedBackend
+from ctlab import keysearch as ks
+from ctlab.attack import ChannelError
+from ctlab.channel import ChannelConfig, SimulatedBackend
 from ctlab.cachesim import CacheConfig
 
 
@@ -28,18 +32,6 @@ def test_profile_accumulation_by_hand():
         p.add(bytes(15), 5)
     with pytest.raises(atk.ProfileError):
         p.add(bytes(16), -1)
-
-
-def test_merge_matches_single_pass():
-    rng = random.Random(7)
-    samples = [(rng.randbytes(16), rng.randrange(10**6)) for _ in range(500)]
-    whole = atk.TimingProfile()
-    left, right = atk.TimingProfile(), atk.TimingProfile()
-    for i, (pt, cyc) in enumerate(samples):
-        whole.add(pt, cyc)
-        (left if i % 2 else right).add(pt, cyc)
-    left.merge(right)
-    assert left == whole
 
 
 def test_profile_csv_roundtrip(tmp_path):
@@ -347,3 +339,16 @@ def test_persistent_contention_leaks_and_cold_flush_does_not():
     corr = atk.correlate(sig_s, study_key, sig_a)
     hits = sum(int(np.argmax(corr[j])) == attack_key[j] for j in range(16))
     assert hits <= 4
+
+
+@pytest.mark.parametrize("module", [atk, ks])
+def test_statistics_and_search_import_no_channel(module):
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+    assert not imported & {"socket", ".channel", "ctlab.channel"}

@@ -155,24 +155,19 @@ def test_native_backend_smoke():
     assert ct == aes.encrypt(bytes(16), aes.expand_key(KEY))
 
 
-def test_calibrate_timer():
-    cal = ch.calibrate_timer(500)
-    assert cal.resolution_ns >= 1
-    assert cal.overhead_ns >= 0
-
-
 def test_loopback_simulated_session():
     server, thread = ch.start_server_thread(_cfg(scratch_lines=8))
     try:
         endpoint = server.address
         rng = random.Random(3)
         rk = aes.expand_key(KEY)
+        mirror = ch.SimulatedBackend(_cfg(scratch_lines=8))
         with ch.UdpOracle(endpoint, packet_size=256) as oracle:
             for _ in range(20):
                 pt = rng.randbytes(16)
-                sample = ch.measure_once(endpoint, pt, packet_size=256, sock=oracle.sock)
-                assert sample.plaintext == pt
-                assert sample.cycles > 0
+                cycles = oracle(pt)
+                assert cycles == mirror.handle(pt)[0]  # the reply to this plaintext
+                assert cycles > 0
                 assert oracle.ciphertext(pt) == aes.encrypt(pt, rk)
     finally:
         server.close()
@@ -190,17 +185,13 @@ def test_loopback_native_sanity_bound():
 
 
 def test_server_survives_malformed_datagrams():
-    import socket as socketlib
-
     server, thread = ch.start_server_thread(_cfg())
     try:
-        sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_DGRAM)
-        for junk in (b"", b"\x01", b"\x09" + bytes(16), b"a" * 5):
-            sock.sendto(junk, server.address)
-        sample = ch.measure_once(server.address, bytes(16), sock=sock)
-        assert sample.cycles > 0
+        with ch.UdpOracle(server.address) as oracle:
+            for junk in (b"", b"\x01", b"\x09" + bytes(16), b"a" * 5):
+                oracle.sock.sendto(junk, server.address)
+            assert oracle(bytes(16)) > 0
         assert server.dropped >= 3  # empty datagrams may not be delivered
-        sock.close()
     finally:
         server.close()
         thread.join(timeout=2)
@@ -225,16 +216,27 @@ def test_timeout_raises_channel_timeout():
         ch.measure_once(("127.0.0.1", 1), bytes(16), timeout=0.05)
 
 
+def test_negative_retries_rejected():
+    with pytest.raises(ValueError):
+        ch.UdpOracle(("127.0.0.1", 1), retries=-1)
+
+
 def _fake_cycles(pt: bytes) -> int:
     return int.from_bytes(pt[:4], "little")
 
 
+def _fake_ciphertext(pt: bytes) -> bytes:
+    return pt[::-1]
+
+
 @contextlib.contextmanager
 def fake_server(before_reply):
-    """A UDP peer that answers timing requests with _fake_cycles.
+    """A UDP peer that answers timing requests with _fake_cycles and
+    ciphertext requests with _fake_ciphertext.
 
-    before_reply(n, sock, peer) runs ahead of the n-th reply, to delay it
-    or to send the client other datagrams first.
+    before_reply(n, sock, peer) runs ahead of the reply to the n-th
+    request, to delay it or to send the client other datagrams first; when
+    it returns True, the request goes unanswered.
     """
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind(("127.0.0.1", 0))
@@ -248,11 +250,16 @@ def fake_server(before_reply):
                 datagram, peer = sock.recvfrom(65535)
             except socket.timeout:
                 continue
-            _, pt = ch.decode_request(datagram)
-            before_reply(n, sock, peer)
-            payload = struct.pack("<Q", _fake_cycles(pt))
-            sock.sendto(ch.encode_response(ch.MSG_TIMING, pt, payload), peer)
+            msg_type, pt = ch.decode_request(datagram)
+            drop = before_reply(n, sock, peer)
             n += 1
+            if drop:
+                continue
+            if msg_type == ch.MSG_TIMING:
+                payload = struct.pack("<Q", _fake_cycles(pt))
+            else:
+                payload = _fake_ciphertext(pt)
+            sock.sendto(ch.encode_response(msg_type, pt, payload), peer)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -290,3 +297,26 @@ def test_collection_survives_junk_datagrams():
             profile = atk.collect_profile(oracle, 64, random.Random(2))
             assert oracle.timeouts == 0
     assert profile == atk.collect_profile(_fake_cycles, 64, random.Random(2))
+
+
+def test_oracle_ciphertext_retries_a_lost_request():
+    with fake_server(lambda n, sock, peer: n == 0) as endpoint:
+        with ch.UdpOracle(endpoint, timeout=0.1, retries=2) as oracle:
+            pt = bytes(range(16))
+            assert oracle.ciphertext(pt) == _fake_ciphertext(pt)
+            assert oracle.timeouts == 1
+
+
+def test_one_shot_queries_make_a_single_attempt():
+    seen = []
+
+    def drop_all(n, sock, peer):
+        seen.append(n)
+        return True
+
+    with fake_server(drop_all) as endpoint:
+        with pytest.raises(ch.ChannelTimeout):
+            ch.ciphertext_query(endpoint, bytes(16), timeout=0.1)
+        with pytest.raises(ch.ChannelTimeout):
+            ch.measure_once(endpoint, bytes(16), timeout=0.1)
+    assert seen == [0, 1]

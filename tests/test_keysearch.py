@@ -136,6 +136,17 @@ def test_brute_force_input_validation():
         ks.brute_force(report, _pairs_for(bytes(16)), threads=0)
 
 
+def test_space_past_2_62_is_refused_before_any_chunk(monkeypatch):
+    def no_chunk(keys):
+        raise AssertionError("a chunk was enumerated")
+
+    monkeypatch.setattr(ks, "expand_batch", no_chunk)
+    report = _report_for([range(16)] * 16)
+    assert report.keyspace_size == 1 << 64
+    with pytest.raises(ks.SearchError):
+        ks.brute_force(report, _pairs_for(bytes(16)))
+
+
 def test_no_match_space_shape():
     report = ks._no_match_space(10**6)
     assert report.keyspace_size == 10**6
@@ -185,11 +196,3 @@ def test_estimate_search_time():
     assert huge == pytest.approx(8.166e30, rel=1e-3)
     with pytest.raises(ValueError):
         ks.estimate_search_time(-1, 2.4e-8)
-
-
-def test_search_model_validation():
-    model = ks.fit_model(ks.REFERENCE_SEARCH_TIMINGS)
-    assert model.alpha == pytest.approx(2.4566e-8, rel=1e-4)
-    assert len(model.fit_points) == 5
-    with pytest.raises(ValueError):
-        ks.SearchModel(0.0, ())
