@@ -21,7 +21,6 @@ TABLE_IDS = (TE0, TE1, TE2, TE3, TE4)
 TABLE_NAMES = ("Te0", "Te1", "Te2", "Te3", "Te4")
 TABLE_BYTES = 1024          # 256 entries of 4 bytes each
 TRACE_LEN = 160
-ROUNDS = 10
 
 SBOX = (
     0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5, 0x30, 0x01, 0x67, 0x2B,
@@ -123,102 +122,55 @@ def encrypt(
 ) -> bytes:
     """Encrypt one block; optionally record every table lookup into trace.
 
-    The trace sink is an append-only list. Passing None selects a
-    lookup loop with no tracing code at all, so the untraced path pays
-    nothing for the hook.
+    The trace sink is an append-only list. Each round computes its 16
+    indices once, extends the trace with them when a sink is given, then
+    XORs the looked-up words; the untraced path pays one ``is not None``
+    test per round for the hook.
     """
     _check16(plaintext, "plaintext")
     if len(round_keys) != 44:
         raise ValueError("round_keys must hold 44 words")
-    if trace is None:
-        return _encrypt_plain(plaintext, round_keys, tables)
-    return _encrypt_traced(plaintext, round_keys, tables, trace)
-
-
-def _load_state(pt: bytes, rk: list[int]) -> tuple[int, int, int, int]:
-    return (
-        int.from_bytes(pt[0:4], "big") ^ rk[0],
-        int.from_bytes(pt[4:8], "big") ^ rk[1],
-        int.from_bytes(pt[8:12], "big") ^ rk[2],
-        int.from_bytes(pt[12:16], "big") ^ rk[3],
-    )
-
-
-def _final_round(s0: int, s1: int, s2: int, s3: int, rk: list[int], te4) -> bytes:
-    c0 = (
-        (te4[(s0 >> 24) & 0xFF] & 0xFF000000)
-        ^ (te4[(s1 >> 16) & 0xFF] & 0x00FF0000)
-        ^ (te4[(s2 >> 8) & 0xFF] & 0x0000FF00)
-        ^ (te4[s3 & 0xFF] & 0x000000FF)
-        ^ rk[40]
-    )
-    c1 = (
-        (te4[(s1 >> 24) & 0xFF] & 0xFF000000)
-        ^ (te4[(s2 >> 16) & 0xFF] & 0x00FF0000)
-        ^ (te4[(s3 >> 8) & 0xFF] & 0x0000FF00)
-        ^ (te4[s0 & 0xFF] & 0x000000FF)
-        ^ rk[41]
-    )
-    c2 = (
-        (te4[(s2 >> 24) & 0xFF] & 0xFF000000)
-        ^ (te4[(s3 >> 16) & 0xFF] & 0x00FF0000)
-        ^ (te4[(s0 >> 8) & 0xFF] & 0x0000FF00)
-        ^ (te4[s1 & 0xFF] & 0x000000FF)
-        ^ rk[42]
-    )
-    c3 = (
-        (te4[(s3 >> 24) & 0xFF] & 0xFF000000)
-        ^ (te4[(s0 >> 16) & 0xFF] & 0x00FF0000)
-        ^ (te4[(s1 >> 8) & 0xFF] & 0x0000FF00)
-        ^ (te4[s2 & 0xFF] & 0x000000FF)
-        ^ rk[43]
-    )
-    return b"".join(c.to_bytes(4, "big") for c in (c0, c1, c2, c3))
-
-
-def _encrypt_plain(pt: bytes, rk: list[int], tables: TTableSet) -> bytes:
     te0, te1, te2, te3, te4 = tables
-    s0, s1, s2, s3 = _load_state(pt, rk)
-    k = 4
-    for _ in range(ROUNDS - 1):
-        t0 = te0[(s0 >> 24) & 0xFF] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[k]
-        t1 = te0[(s1 >> 24) & 0xFF] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[k + 1]
-        t2 = te0[(s2 >> 24) & 0xFF] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[k + 2]
-        t3 = te0[(s3 >> 24) & 0xFF] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[k + 3]
-        s0, s1, s2, s3 = t0, t1, t2, t3
-        k += 4
-    return _final_round(s0, s1, s2, s3, rk, te4)
-
-
-def _encrypt_traced(
-    pt: bytes, rk: list[int], tables: TTableSet, trace: list[tuple[int, int]]
-) -> bytes:
-    te0, te1, te2, te3, te4 = tables
-    push = trace.append
-    s0, s1, s2, s3 = _load_state(pt, rk)
-    k = 4
-    for _ in range(ROUNDS - 1):
-        t = [0, 0, 0, 0]
-        srow = (s0, s1, s2, s3)
-        for col in range(4):
-            i0 = (srow[col] >> 24) & 0xFF
-            i1 = (srow[(col + 1) & 3] >> 16) & 0xFF
-            i2 = (srow[(col + 2) & 3] >> 8) & 0xFF
-            i3 = srow[(col + 3) & 3] & 0xFF
-            push((TE0, i0))
-            push((TE1, i1))
-            push((TE2, i2))
-            push((TE3, i3))
-            t[col] = te0[i0] ^ te1[i1] ^ te2[i2] ^ te3[i3] ^ rk[k + col]
-        s0, s1, s2, s3 = t
-        k += 4
-    srow = (s0, s1, s2, s3)
-    for col in range(4):
-        push((TE4, (srow[col] >> 24) & 0xFF))
-        push((TE4, (srow[(col + 1) & 3] >> 16) & 0xFF))
-        push((TE4, (srow[(col + 2) & 3] >> 8) & 0xFF))
-        push((TE4, srow[(col + 3) & 3] & 0xFF))
-    return _final_round(s0, s1, s2, s3, rk, te4)
+    rk = round_keys
+    s0 = int.from_bytes(plaintext[0:4], "big") ^ rk[0]
+    s1 = int.from_bytes(plaintext[4:8], "big") ^ rk[1]
+    s2 = int.from_bytes(plaintext[8:12], "big") ^ rk[2]
+    s3 = int.from_bytes(plaintext[12:16], "big") ^ rk[3]
+    for k in range(4, 44, 4):
+        # Column c reads byte 3-j of word c+j for j = 0..3 (ShiftRows).
+        a0 = (s0 >> 24) & 0xFF; a1 = (s1 >> 16) & 0xFF; a2 = (s2 >> 8) & 0xFF; a3 = s3 & 0xFF
+        b0 = (s1 >> 24) & 0xFF; b1 = (s2 >> 16) & 0xFF; b2 = (s3 >> 8) & 0xFF; b3 = s0 & 0xFF
+        c0 = (s2 >> 24) & 0xFF; c1 = (s3 >> 16) & 0xFF; c2 = (s0 >> 8) & 0xFF; c3 = s1 & 0xFF
+        d0 = (s3 >> 24) & 0xFF; d1 = (s0 >> 16) & 0xFF; d2 = (s1 >> 8) & 0xFF; d3 = s2 & 0xFF
+        if k == 40:
+            break  # the final round looks these indices up in Te4
+        if trace is not None:
+            trace += (
+                (TE0, a0), (TE1, a1), (TE2, a2), (TE3, a3),
+                (TE0, b0), (TE1, b1), (TE2, b2), (TE3, b3),
+                (TE0, c0), (TE1, c1), (TE2, c2), (TE3, c3),
+                (TE0, d0), (TE1, d1), (TE2, d2), (TE3, d3),
+            )
+        s0 = te0[a0] ^ te1[a1] ^ te2[a2] ^ te3[a3] ^ rk[k]
+        s1 = te0[b0] ^ te1[b1] ^ te2[b2] ^ te3[b3] ^ rk[k + 1]
+        s2 = te0[c0] ^ te1[c1] ^ te2[c2] ^ te3[c3] ^ rk[k + 2]
+        s3 = te0[d0] ^ te1[d1] ^ te2[d2] ^ te3[d3] ^ rk[k + 3]
+    if trace is not None:
+        trace += (
+            (TE4, a0), (TE4, a1), (TE4, a2), (TE4, a3),
+            (TE4, b0), (TE4, b1), (TE4, b2), (TE4, b3),
+            (TE4, c0), (TE4, c1), (TE4, c2), (TE4, c3),
+            (TE4, d0), (TE4, d1), (TE4, d2), (TE4, d3),
+        )
+    s0 = ((te4[a0] & 0xFF000000) ^ (te4[a1] & 0x00FF0000)
+          ^ (te4[a2] & 0x0000FF00) ^ (te4[a3] & 0xFF) ^ rk[40])
+    s1 = ((te4[b0] & 0xFF000000) ^ (te4[b1] & 0x00FF0000)
+          ^ (te4[b2] & 0x0000FF00) ^ (te4[b3] & 0xFF) ^ rk[41])
+    s2 = ((te4[c0] & 0xFF000000) ^ (te4[c1] & 0x00FF0000)
+          ^ (te4[c2] & 0x0000FF00) ^ (te4[c3] & 0xFF) ^ rk[42])
+    s3 = ((te4[d0] & 0xFF000000) ^ (te4[d1] & 0x00FF0000)
+          ^ (te4[d2] & 0x0000FF00) ^ (te4[d3] & 0xFF) ^ rk[43])
+    return ((s0 << 96) | (s1 << 64) | (s2 << 32) | s3).to_bytes(16, "big")
 
 
 def first_round_indices(plaintext: bytes, key: bytes) -> list[int]:

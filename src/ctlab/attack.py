@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Callable
@@ -173,8 +173,6 @@ class CandidateReport:
 
     values: tuple[tuple[int, ...], ...]
     scores: tuple[tuple[float, ...], ...]
-    thresholds: tuple[float, ...] = field(default=())
-    spread: float = 1.0
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -201,7 +199,6 @@ def candidate_sets(correlation: np.ndarray, spread: float = 1.0) -> CandidateRep
         raise ValueError("spread must be non-negative")
     values: list[tuple[int, ...]] = []
     scores: list[tuple[float, ...]] = []
-    thresholds: list[float] = []
     for j in range(POSITIONS):
         row = correlation[j]
         cut = float(row.max() - spread * row.std())
@@ -211,8 +208,7 @@ def candidate_sets(correlation: np.ndarray, spread: float = 1.0) -> CandidateRep
         )
         values.append(tuple(g for _, g in kept))
         scores.append(tuple(s for s, _ in kept))
-        thresholds.append(cut)
-    return CandidateReport(tuple(values), tuple(scores), tuple(thresholds), spread)
+    return CandidateReport(tuple(values), tuple(scores))
 
 
 def save_profile(profile: TimingProfile, path: str | Path) -> None:

@@ -5,9 +5,11 @@ line_size; its set is block mod num_sets. Replacement state lives per
 set as a most-recently-used-last list of block numbers, so equal blocks
 are equal (tag, set) pairs and no separate tag math is needed.
 
-run_encryption replays an AES access trace against a table layout,
+run_encryption replays an AES access trace against a table layout (or
+the countermeasure's own layout, when its disturbance carries one),
 optionally interleaving countermeasure accesses, and charges
 hit_cycles/miss_cycles per access plus any flat disturbance cycles.
+PACKED_LAYOUT and PARTITIONED_LAYOUT are the only two layouts in use.
 """
 
 from __future__ import annotations
@@ -80,22 +82,10 @@ PACKED_BASE = 0x40000
 PARTITION_BASES = (0x10, 0x1000, 0x10000, 0x100000, 0x1000000)
 
 
-def packed_layout() -> MemoryLayout:
-    """Five tables contiguous at a 64-byte-aligned base."""
-    return MemoryLayout(tuple(PACKED_BASE + i * TABLE_BYTES for i in range(5)))
-
-
-def partitioned_layout() -> MemoryLayout:
-    """Each table isolated on its own progressively coarser alignment."""
-    return MemoryLayout(PARTITION_BASES)
-
-
-def layout_by_name(name: str) -> MemoryLayout:
-    if name == "packed":
-        return packed_layout()
-    if name == "partitioned":
-        return partitioned_layout()
-    raise LayoutError(f"unknown layout {name!r}")
+# Five tables contiguous at a 64-byte-aligned base.
+PACKED_LAYOUT = MemoryLayout(tuple(PACKED_BASE + i * TABLE_BYTES for i in range(5)))
+# Each table isolated on its own progressively coarser alignment.
+PARTITIONED_LAYOUT = MemoryLayout(PARTITION_BASES)
 
 
 @dataclass
@@ -184,25 +174,24 @@ def run_encryption(
     trace: list[tuple[int, int]],
     layout: MemoryLayout,
     disturbance=None,
-    extra_cycles: int = 0,
 ) -> SimResult:
     """Replay one encryption's table accesses through the cache.
 
     disturbance is any object carrying extra_accesses, extra_cycles and
-    layout_override (or None). Flushes first when the config says each
-    encryption starts cold. cycles = hits*hit + misses*miss + extras.
+    layout (or None); a non-None layout replaces the given one. Flushes
+    first when the config says each encryption starts cold.
+    cycles = hits*hit + misses*miss + extras.
     """
     cfg = state.config
     if cfg.cold_flush_per_encryption:
         state.flush()
-    extra = extra_cycles
+    extra = 0
     accesses = trace
     if disturbance is not None:
-        if disturbance.layout_override is not None:
-            layout = layout_by_name(disturbance.layout_override)
+        layout = disturbance.layout or layout
         if disturbance.extra_accesses:
             accesses = interleave_accesses(trace, disturbance.extra_accesses)
-        extra += disturbance.extra_cycles
+        extra = disturbance.extra_cycles
     bases = layout.bases
     addresses = []
     push = addresses.append

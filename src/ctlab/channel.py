@@ -11,8 +11,9 @@ logged; the server never dies on malformed input.
 Two interchangeable backends answer timing requests. The native backend
 times real encryptions with the highest-resolution monotonic counter
 available (perf_counter_ns). The simulated backend replays the
-encryption's table accesses through the deterministic cache model and
-reports exactly the SimResult cycles under encrypt_only scope.
+encryption's table accesses, placed by the packed table layout, through
+the deterministic cache model and reports exactly the SimResult cycles
+under encrypt_only scope.
 
 The simulated handler also walks its own working set through the same
 cache on every request: the datagram buffer (packet_size bytes at a
@@ -34,11 +35,11 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .aes import TTABLES, encrypt, expand_key
 from .attack import ChannelError
-from .cachesim import CacheConfig, CacheState, layout_by_name, run_encryption
+from .cachesim import PACKED_LAYOUT, CacheConfig, CacheState, run_encryption
 from .countermeasures import Kind, apply, execute_disturbance, make_state
 
 log = logging.getLogger("ctlab.channel")
@@ -115,7 +116,6 @@ class ChannelConfig:
     packet_size: int = DEFAULT_PACKET_SIZE
     timing_scope: str = "encrypt_only"    # encrypt_only | whole_handler
     cache: CacheConfig = CacheConfig()
-    layout: str = "packed"
     scratch_lines: int = 0
     scratch_seed: int = 1
     prng_seed: int | None = 1             # None -> wall-clock seeding (native live mode)
@@ -131,11 +131,6 @@ class ChannelConfig:
             raise ValueError("packet_size below header length")
         if self.scratch_lines < 0 or self.scratch_lines > self.cache.num_sets:
             raise ValueError("scratch_lines must be within 0..num_sets")
-        layout_by_name(self.layout)
-
-
-def equal_except_key(a: ChannelConfig, b: ChannelConfig) -> bool:
-    return replace(a, key=b.key) == b
 
 
 class SimulatedBackend:
@@ -145,7 +140,6 @@ class SimulatedBackend:
         self.config = config
         self.round_keys = expand_key(config.key)
         self.cache = CacheState(config.cache)
-        self.layout = layout_by_name(config.layout)
         self.kind = config.countermeasure
         self.cm_state = make_state(config.countermeasure)
         self.prng = random.Random(config.prng_seed)
@@ -166,7 +160,7 @@ class SimulatedBackend:
         scratch = self.cache.access_all(self.scratch_addrs)
         trace: list[tuple[int, int]] = []
         ct = encrypt(plaintext, self.round_keys, TTABLES, trace)
-        sim = run_encryption(self.cache, trace, self.layout, disturbance)
+        sim = run_encryption(self.cache, trace, PACKED_LAYOUT, disturbance)
         cycles = sim.cycles
         if self.config.timing_scope == "whole_handler":
             cycles += overhead.cycles + scratch.cycles

@@ -10,7 +10,7 @@ from random import Random
 
 from . import attack as atk
 from . import harness, keysearch
-from .channel import TimingServer, UdpOracle, default_port
+from .channel import HEADER_LEN, TimingServer, UdpOracle, default_port
 
 
 def _endpoint(text: str) -> tuple[str, int]:
@@ -31,6 +31,19 @@ def _pair(text: str) -> tuple[bytes, bytes]:
     return pt, ct
 
 
+def _at_least(low: int):
+    """argparse type for an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _sizes(text: str) -> list[int]:
     return [int(float(part)) for part in text.split(",") if part]
 
@@ -42,7 +55,10 @@ def _load_experiment(path: str, overrides: list[str]) -> harness.ExperimentConfi
             raise SystemExit(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    return harness.config_from_mapping(mapping)
+    try:
+        return harness.config_from_mapping(mapping)
+    except ValueError as exc:
+        raise SystemExit(f"bad config {path}: {exc}") from None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -183,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect", help="collect a timing profile over UDP")
     p.add_argument("--endpoint", type=_endpoint, required=True, metavar="HOST:PORT")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--packet-size", type=int, default=800)
+    p.add_argument("--packet-size", type=_at_least(HEADER_LEN), default=800)
     p.add_argument("--timeout", type=float, default=1.0)
-    p.add_argument("--retries", type=int, default=5)
+    p.add_argument("--retries", type=_at_least(0), default=5)
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("correlate", help="profiles -> candidate key bytes")
@@ -204,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--pair", type=_pair, action="append", required=True,
                    metavar="PTHEX:CTHEX")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--order", choices=("score", "lex"), default="score")
-    p.add_argument("--chunk", type=int, default=keysearch.DEFAULT_CHUNK)
+    p.add_argument("--chunk", type=_at_least(1), default=keysearch.DEFAULT_CHUNK)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("experiment", help="full pipeline from a config file")
@@ -221,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-rate", help="measure local brute-force speed")
     p.add_argument("--sizes", type=_sizes, default=[10**6, 3 * 10**6, 10**7],
                    metavar="N,N,...", help="key-space sizes (floats like 1e6 accepted)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--fit-min", type=float, default=10**6,
                    help="smallest size included in the rate fit")
     p.set_defaults(func=cmd_bench_rate)

@@ -1,15 +1,16 @@
 """Timing-attack countermeasures as pure disturbance generators.
 
 Each countermeasure describes what it would add to one encryption:
-flat extra cycles, extra table accesses to interleave, or a table
-layout override. Ciphertexts are never touched, so every variant is
-semantics-preserving by construction.
+flat extra cycles, extra table accesses to interleave, or the table
+layout to replay under instead of the server's packed one. Ciphertexts
+are never touched, so every variant is semantics-preserving by
+construction.
 
 In native mode the same reports drive real executed code (a busy loop,
 actual table reads) inside the timed window; see execute_disturbance.
 Cache partitioning is simulation-only there: CPython offers no control
 over where list storage lands, so the native variant is a documented
-no-op while layout_override carries the semantics in the simulator.
+no-op while the report's layout carries the semantics in the simulator.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .aes import TTABLES
+from .cachesim import PARTITIONED_LAYOUT, MemoryLayout
 
 
 class Kind(enum.Enum):
@@ -66,7 +68,7 @@ class PrefetchState:
 class DisturbanceReport:
     extra_cycles: int = 0
     extra_accesses: Sequence[tuple[int, int]] = field(default_factory=list)
-    layout_override: str | None = None
+    layout: MemoryLayout | None = None
     loop_count: int = 0  # dummy-loop iterations the native path executes
 
 
@@ -159,7 +161,7 @@ def apply(
         state.window_start = (state.window_start + 5 * PREFETCH_WINDOW) % 256
         return DisturbanceReport(extra_accesses=run)
     if kind is Kind.CACHE_PARTITION:
-        return DisturbanceReport(layout_override="partitioned")
+        return DisturbanceReport(layout=PARTITIONED_LAYOUT)
     raise StateError(f"unknown countermeasure kind {kind!r}")
 
 

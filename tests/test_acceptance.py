@@ -22,7 +22,13 @@ from ctlab import attack as atk
 from ctlab import channel as ch
 from ctlab import harness as hn
 from ctlab import keysearch as ks
-from ctlab.cachesim import CacheConfig, CacheState, layout_by_name, run_encryption
+from ctlab.cachesim import (
+    PACKED_LAYOUT,
+    PARTITIONED_LAYOUT,
+    CacheConfig,
+    CacheState,
+    run_encryption,
+)
 from ctlab.channel import ChannelConfig, SimulatedBackend, measure_once, start_server_thread
 from ctlab.countermeasures import (
     Kind,
@@ -183,8 +189,7 @@ def test_criterion_09_cache_simulator_oracle_equivalence():
     # cold-start misses equal the distinct-line count of the trace
     deep = CacheConfig(line_size=64, num_sets=32768, assoc=8)
     rng = random.Random(0xC01D)
-    for layout_name in ("packed", "partitioned"):
-        layout = layout_by_name(layout_name)
+    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
         for _ in range(100):
             key, pt = rng.randbytes(16), rng.randbytes(16)
             trace: list[tuple[int, int]] = []

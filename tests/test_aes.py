@@ -7,7 +7,15 @@ import random
 import pytest
 
 from ctlab import aes
-from reference_aes import REF_SBOX, reference_encrypt
+from reference_aes import (
+    REF_SBOX,
+    _add_round_key,
+    _expand,
+    _mix_columns,
+    _shift_rows,
+    _sub_bytes,
+    reference_encrypt,
+)
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -105,6 +113,32 @@ def test_first_round_trace_indices_are_pt_xor_key():
         leak = aes.first_round_indices(pt, key)
         got = [idx for _, idx in trace[:16]]
         assert got == [leak[j] for j in SHIFT_ORDER]
+
+
+def test_whole_trace_matches_reference_round_states():
+    # Every round looks up the bytes of the state entering it, in the
+    # shifted column order; rounds 1..9 cycle Te0..Te3, round 10 uses Te4.
+    rng = random.Random(0x7ACE)
+    for _ in range(40):
+        key, pt = rng.randbytes(16), rng.randbytes(16)
+        words = _expand(key)
+        state = [[pt[r + 4 * c] for c in range(4)] for r in range(4)]
+        _add_round_key(state, words, 0)
+        expected: list[tuple[int, int]] = []
+        for rnd in range(1, 11):
+            flat = [state[i % 4][i // 4] for i in range(16)]
+            tables = [aes.TE4] * 16 if rnd == 10 else [j % 4 for j in range(16)]
+            expected += zip(tables, (flat[i] for i in SHIFT_ORDER))
+            _sub_bytes(state)
+            _shift_rows(state)
+            if rnd < 10:
+                _mix_columns(state)
+            _add_round_key(state, words, rnd)
+        trace: list[tuple[int, int]] = []
+        ct = aes.encrypt(pt, aes.expand_key(key), trace=trace)
+        assert len(expected) == aes.TRACE_LEN
+        assert trace == expected
+        assert ct == bytes(state[r][c] for c in range(4) for r in range(4))
 
 
 def test_first_round_indices_helper():

@@ -8,16 +8,17 @@ import pytest
 
 from ctlab import aes
 from ctlab.cachesim import (
+    PACKED_LAYOUT,
+    PARTITIONED_LAYOUT,
     CacheConfig,
     CacheState,
     LayoutError,
     MemoryLayout,
     SimResult,
     interleave_accesses,
-    packed_layout,
-    partitioned_layout,
     run_encryption,
 )
+from ctlab.countermeasures import DisturbanceReport
 from cache_oracle import RecencyOracle
 
 
@@ -32,7 +33,7 @@ def test_config_validation():
 
 
 def test_layout_disjointness():
-    for layout in (packed_layout(), partitioned_layout()):
+    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
         regions = [(b, b + 1024) for b in layout.bases]
         for i, (s1, e1) in enumerate(regions):
             for s2, e2 in regions[i + 1 :]:
@@ -42,7 +43,7 @@ def test_layout_disjointness():
 
 
 def test_element_address():
-    layout = packed_layout()
+    layout = PACKED_LAYOUT
     assert layout.element_address(0, 0) == layout.bases[0]
     assert layout.element_address(2, 7) == layout.bases[2] + 28
     with pytest.raises(LayoutError):
@@ -55,7 +56,7 @@ def test_partitioned_set_ranges_disjoint_te0_to_te3():
     # A large outer cache separates the four alignment stripes.
     cfg = CacheConfig(line_size=64, num_sets=32768, assoc=1)
     ranges = []
-    for base in partitioned_layout().bases[:4]:
+    for base in PARTITIONED_LAYOUT.bases[:4]:
         sets = {((base + off) // cfg.line_size) % cfg.num_sets for off in range(0, 1024, 4)}
         ranges.append(sets)
     for i, a in enumerate(ranges):
@@ -113,7 +114,7 @@ def _random_trace(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 def test_more_ways_or_sets_never_hurt():
     rng = random.Random(77)
-    layout = packed_layout()
+    layout = PACKED_LAYOUT
     for _ in range(20):
         trace = _random_trace(rng, 400)
         for base_cfg, grown_cfg in [
@@ -130,7 +131,7 @@ def test_more_ways_or_sets_never_hurt():
 def test_cold_misses_equal_distinct_lines():
     rng = random.Random(5)
     cfg = CacheConfig(line_size=64, num_sets=64, assoc=8)
-    for layout in (packed_layout(), partitioned_layout()):
+    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
         for _ in range(25):
             key, pt = rng.randbytes(16), rng.randbytes(16)
             trace: list[tuple[int, int]] = []
@@ -148,8 +149,8 @@ def test_second_run_all_hits_when_capacity_fits():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
-    run_encryption(st, trace, packed_layout())
-    again = run_encryption(st, trace, packed_layout())
+    run_encryption(st, trace, PACKED_LAYOUT)
+    again = run_encryption(st, trace, PACKED_LAYOUT)
     assert again.misses == 0
 
 
@@ -158,8 +159,8 @@ def test_cold_flush_resets_each_run():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
-    first = run_encryption(st, trace, packed_layout())
-    second = run_encryption(st, trace, packed_layout())
+    first = run_encryption(st, trace, PACKED_LAYOUT)
+    second = run_encryption(st, trace, PACKED_LAYOUT)
     assert first.misses == second.misses > 0
 
 
@@ -168,7 +169,7 @@ def test_cycle_arithmetic_exact():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(b"\x01" * 16, aes.expand_key(b"\x02" * 16), trace=trace)
-    res = run_encryption(st, trace, packed_layout(), extra_cycles=123)
+    res = run_encryption(st, trace, PACKED_LAYOUT, DisturbanceReport(extra_cycles=123))
     assert res.cycles == res.hits * 2 + res.misses * 50 + 123
     assert res.accesses == 160
 
@@ -176,9 +177,9 @@ def test_cycle_arithmetic_exact():
 def test_trace_entry_validation():
     st = CacheState(CacheConfig())
     with pytest.raises(LayoutError):
-        run_encryption(st, [(7, 0)], packed_layout())
+        run_encryption(st, [(7, 0)], PACKED_LAYOUT)
     with pytest.raises(LayoutError):
-        run_encryption(st, [(0, 300)], packed_layout())
+        run_encryption(st, [(0, 300)], PACKED_LAYOUT)
 
 
 def test_interleave_positions():

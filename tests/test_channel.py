@@ -79,14 +79,6 @@ def test_config_validation():
         _cfg(timing_scope="sometimes")
 
 
-def test_equal_except_key():
-    a = _cfg(packet_size=400)
-    b = ch.ChannelConfig(key=bytes(16), packet_size=400)
-    c = ch.ChannelConfig(key=bytes(16), packet_size=401)
-    assert ch.equal_except_key(a, b)
-    assert not ch.equal_except_key(a, c)
-
-
 def test_simulated_backend_deterministic():
     rng = random.Random(8)
     pts = [rng.randbytes(16) for _ in range(64)]
@@ -98,12 +90,11 @@ def test_simulated_backend_deterministic():
 
 
 def test_none_kind_is_bit_identical_to_bare_pipeline():
-    from ctlab.cachesim import CacheState, layout_by_name, run_encryption
+    from ctlab.cachesim import PACKED_LAYOUT, CacheState, run_encryption
 
     cfg = _cfg(countermeasure=Kind.NONE)
     backend = ch.SimulatedBackend(cfg)
     bare_cache = CacheState(cfg.cache)
-    layout = layout_by_name(cfg.layout)
     rk = aes.expand_key(KEY)
     rng = random.Random(12)
     for _ in range(32):
@@ -113,7 +104,7 @@ def test_none_kind_is_bit_identical_to_bare_pipeline():
         bare_cache.access_all(backend.scratch_addrs)
         trace: list[tuple[int, int]] = []
         aes.encrypt(pt, rk, trace=trace)
-        want = run_encryption(bare_cache, trace, layout).cycles
+        want = run_encryption(bare_cache, trace, PACKED_LAYOUT).cycles
         assert got == want
 
 

@@ -51,6 +51,31 @@ def test_parser_rejects_bad_values():
         parser.parse_args(["definitely-not-a-verb"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--retries", "-1"],
+    ["collect", "--endpoint", "h:1", "--samples", "0", "--out", "x.csv"],
+    ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--packet-size", "16"],
+    ["search", "--candidates", "c.csv", "--pair", "00" * 16 + ":" + "00" * 16, "--threads", "0"],
+    ["search", "--candidates", "c.csv", "--pair", "00" * 16 + ":" + "00" * 16, "--chunk", "0"],
+    ["bench-rate", "--threads", "0"],
+    ["bench-rate", "--threads", "two"],
+], ids=["retries", "samples", "packet-size", "search-threads", "chunk", "bench-threads", "not-int"])
+def test_out_of_range_numbers_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["layout = packed", "warp_drive = on"])
+def test_unknown_config_key_is_a_usage_error(tmp_path, line):
+    path = tmp_path / "stale.cfg"
+    path.write_text(TINY_CONFIG + line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--config", str(path)])
+    assert f"unknown config key {line.split()[0]!r}" in str(exc.value.code)
+
+
 def test_collect_and_correlate_verbs(tmp_path, config_file):
     cfg = hn.config_from_mapping(hn.load_config_file(config_file))
     servers = []

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ctlab import countermeasures as cm
+from ctlab.cachesim import PARTITIONED_LAYOUT
 
 # First draws for seed 1234, pinned once generated.
 GOLDEN_RANDOM_LOOP = [14, 3, 0, 2, 18, 1, 2, 3, 11, 7, 0, 0, 0, 11, 19, 15, 19, 14, 4, 2, 5, 3, 0, 16]
@@ -97,7 +98,7 @@ def test_prefetch_apply_five_windows():
     st = cm.PrefetchState()
     rep = cm.apply(cm.Kind.PREFETCH, st)
     assert len(rep.extra_accesses) == 320
-    assert rep.extra_cycles == 0 and rep.layout_override is None
+    assert rep.extra_cycles == 0 and rep.layout is None
     assert st.window_start == 80  # advanced five windows
 
 
@@ -118,7 +119,7 @@ def test_none_report_is_empty():
 
 def test_partition_overrides_layout_only():
     rep = cm.apply(cm.Kind.CACHE_PARTITION)
-    assert rep.layout_override == "partitioned"
+    assert rep.layout is PARTITIONED_LAYOUT
     assert rep.extra_cycles == 0 and rep.extra_accesses == []
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from ctlab import harness as hn
@@ -41,13 +43,13 @@ def test_parse_config_text():
     text = """
     # leading comment
     samples_study = 100   # trailing comment
-    layout=packed
+    backend=simulated
 
     seed = 7
     """
     assert hn.parse_config_text(text) == {
         "samples_study": "100",
-        "layout": "packed",
+        "backend": "simulated",
         "seed": "7",
     }
     with pytest.raises(ValueError):
@@ -86,6 +88,17 @@ def test_config_from_mapping():
         hn.config_from_mapping({"study_key": STUDY_KEY.hex()})
     with pytest.raises(ValueError):
         hn.config_from_mapping(_mapping(cold_flush="maybe"))
+
+
+COMMITTED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+def test_committed_configs_load():
+    # A stale key in a shipped config fails here, not minutes into an experiment.
+    assert len(COMMITTED_CONFIGS) >= 2
+    for path in COMMITTED_CONFIGS:
+        cfg = hn.config_from_mapping(hn.load_config_file(path))
+        cfg.channel_config(cfg.attack_key, run=0)
 
 
 def test_report_csv_roundtrip_of_reference_rows():
