@@ -238,6 +238,12 @@ def load_profile(path: str | Path) -> TimingProfile:
                 raise ProfileError(f"profile cell out of range: {row!r}")
             if seen[j][v]:
                 raise ProfileError(f"duplicate profile cell ({j}, {v})")
+            if count < 0 or total < 0 or sumsq < 0:
+                raise ProfileError(f"negative profile cell: {row!r}")
+            if count == 0 and (total or sumsq):
+                raise ProfileError(f"profile cell with no samples has sums: {row!r}")
+            if sumsq * count < total * total:
+                raise ProfileError(f"profile cell sumsq below sum^2/count: {row!r}")
             seen[j][v] = True
             profile.counts[j][v] = count
             profile.sums[j][v] = total

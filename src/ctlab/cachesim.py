@@ -10,12 +10,23 @@ the countermeasure's own layout, when its disturbance carries one),
 optionally interleaving countermeasure accesses, and charges
 hit_cycles/miss_cycles per access plus any flat disturbance cycles.
 PACKED_LAYOUT and PARTITIONED_LAYOUT are the only two layouts in use.
+
+CacheState.walk replays a fixed address sequence (a WorkingSet)
+incrementally, and exactly. Under LRU, replaying a sequence on the state
+that sequence itself left behind changes nothing, and each access hits
+or misses the same way as on the previous replay: an access's outcome
+depends only on the accesses since the previous touch of its block. So
+a walk re-simulates only the cache sets that some access changed since
+the last walk of the same WorkingSet, and every other set it covers adds
+the hits and misses of that steady replay. access_all records the sets
+it changes (every access except a hit on the most recent block); flush
+invalidates the last walk.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .aes import TABLE_BYTES, TABLE_IDS
 
@@ -57,6 +68,8 @@ class MemoryLayout:
     """Byte base addresses for Te0..Te4; each table occupies 1024 bytes."""
 
     bases: tuple[int, int, int, int, int]
+    # (table, index) -> byte address, for every valid trace entry
+    addresses: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         regions = sorted((b, b + TABLE_BYTES) for b in self.bases)
@@ -66,13 +79,14 @@ class MemoryLayout:
         for (_, end), (nxt, _) in zip(regions, regions[1:]):
             if nxt < end:
                 raise LayoutError("table regions overlap")
+        addresses = {(t, i): self.bases[t] + 4 * i for t in TABLE_IDS for i in range(256)}
+        object.__setattr__(self, "addresses", addresses)
 
     def element_address(self, table_id: int, index: int) -> int:
-        if table_id not in TABLE_IDS:
-            raise LayoutError(f"unknown table id {table_id}")
-        if not 0 <= index < 256:
-            raise LayoutError(f"table index {index} out of range")
-        return self.bases[table_id] + 4 * index
+        try:
+            return self.addresses[table_id, index]
+        except KeyError:
+            raise LayoutError(f"table entry ({table_id}, {index}) outside table regions") from None
 
 
 PACKED_BASE = 0x40000
@@ -99,6 +113,34 @@ class SimResult:
         return self.hits + self.misses
 
 
+class WorkingSet:
+    """A fixed address sequence, grouped by cache set, for CacheState.walk.
+
+    by_set maps each set the sequence touches to its addresses in walk
+    order; steady maps it to the hits of a second replay of those
+    addresses right after a first one, which is what every later replay
+    on an untouched set yields.
+    """
+
+    def __init__(self, config: CacheConfig, addresses: Sequence[int]) -> None:
+        self.config = config
+        self.addresses = tuple(addresses)
+        shift = config.line_size.bit_length() - 1
+        mask = config.num_sets - 1
+        by_set: dict[int, list[int]] = {}
+        for address in self.addresses:
+            by_set.setdefault((address >> shift) & mask, []).append(address)
+        self.by_set = by_set
+        self.sets = frozenset(by_set)
+        probe = CacheState(replace(config, num_sets=1))
+        self.steady: dict[int, int] = {}
+        for s, seq in by_set.items():
+            probe.flush()
+            probe.access_all(seq)
+            self.steady[s] = probe.access_all(seq).hits
+        self.steady_hits = sum(self.steady.values())
+
+
 class CacheState:
     """Mutable cache contents plus lifetime hit/miss statistics."""
 
@@ -109,6 +151,8 @@ class CacheState:
         self.hits = 0
         self.misses = 0
         self._sets: list[list[int]] = [[] for _ in range(config.num_sets)]
+        self._changed: set[int] = set()       # sets changed since the last walk
+        self._last_walk: WorkingSet | None = None
 
     @property
     def accesses(self) -> int:
@@ -118,6 +162,7 @@ class CacheState:
         """Drop all cached lines; statistics are preserved."""
         for s in self._sets:
             s.clear()
+        self._last_walk = None
 
     def access(self, address: int) -> bool:
         """Touch one address; returns True on hit. LRU within the set."""
@@ -128,10 +173,16 @@ class CacheState:
         h0, m0 = self.hits, self.misses
         shift, mask, assoc = self._line_shift, self._set_mask, self.config.assoc
         sets = self._sets
+        changed = self._changed.add
         hits = 0
         for address in addresses:
             block = address >> shift
-            lru = sets[block & mask]
+            index = block & mask
+            lru = sets[index]
+            if lru and lru[-1] == block:
+                hits += 1
+                continue
+            changed(index)
             if block in lru:
                 lru.remove(block)
                 lru.append(block)
@@ -139,12 +190,36 @@ class CacheState:
             else:
                 lru.append(block)
                 if len(lru) > assoc:
-                    lru.pop(0)
+                    del lru[0]
         misses = len(addresses) - hits
         self.hits = h0 + hits
         self.misses = m0 + misses
         cfg = self.config
         return SimResult(hits, misses, hits * cfg.hit_cycles + misses * cfg.miss_cycles)
+
+    def walk(self, ws: WorkingSet) -> SimResult:
+        """Touch ws's addresses in order; equal to access_all(ws.addresses).
+
+        Replays only the sets changed since ws was last walked on this
+        cache; each other set of ws repeats its steady hits and misses.
+        """
+        if self._last_walk is not ws:
+            if ws.config != self.config:
+                raise ValueError("working set was built for another cache geometry")
+            res = self.access_all(ws.addresses)
+        else:
+            dirty = self._changed & ws.sets
+            by_set, steady = ws.by_set, ws.steady
+            res = self.access_all([a for s in dirty for a in by_set[s]])
+            hits = res.hits + ws.steady_hits - sum(steady[s] for s in dirty)
+            misses = len(ws.addresses) - hits
+            self.hits += hits - res.hits
+            self.misses += misses - res.misses
+            cfg = self.config
+            res = SimResult(hits, misses, hits * cfg.hit_cycles + misses * cfg.miss_cycles)
+        self._changed.clear()
+        self._last_walk = ws
+        return res
 
 
 def interleave_accesses(
@@ -192,13 +267,11 @@ def run_encryption(
         if disturbance.extra_accesses:
             accesses = interleave_accesses(trace, disturbance.extra_accesses)
         extra = disturbance.extra_cycles
-    bases = layout.bases
-    addresses = []
-    push = addresses.append
-    for tid, idx in accesses:
-        if not 0 <= idx < 256 or tid not in TABLE_IDS:
-            raise LayoutError(f"trace entry ({tid}, {idx}) outside table regions")
-        push(bases[tid] + 4 * idx)
+    table = layout.addresses
+    try:
+        addresses = [table[entry] for entry in accesses]
+    except KeyError as exc:
+        raise LayoutError(f"trace entry {exc.args[0]} outside table regions") from None
     res = state.access_all(addresses)
     res.cycles += extra
     return res

@@ -23,7 +23,11 @@ persistent cache it evicts table lines set by set between encryptions,
 which is the deterministic stand-in for the ambient eviction a real
 victim's memory traffic causes. whole_handler scope adds the working
 set's own hit/miss cycles, so packet size shows up in timings the way
-it does on hardware.
+it does on hardware. The walk (parse buffer, then scratch lines) is one
+CacheState.walk over a WorkingSet shared by every backend of the same
+geometry: it re-simulates only the cache sets that changed since the
+previous request's walk, and its hits, misses and cycles are exactly
+those of replaying every address.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .aes import TTABLES, encrypt, expand_key
 from .attack import ChannelError
-from .cachesim import PACKED_LAYOUT, CacheConfig, CacheState, run_encryption
+from .cachesim import PACKED_LAYOUT, CacheConfig, CacheState, WorkingSet, run_encryption
 from .countermeasures import Kind, apply, execute_disturbance, make_state
 
 log = logging.getLogger("ctlab.channel")
@@ -133,6 +138,22 @@ class ChannelConfig:
             raise ValueError("scratch_lines must be within 0..num_sets")
 
 
+@lru_cache(maxsize=64)
+def _handler_working_set(
+    cache: CacheConfig, packet_size: int, scratch_lines: int, scratch_seed: int
+) -> tuple[tuple[int, ...], tuple[int, ...], WorkingSet]:
+    """Parse-buffer lines, scratch lines and their walk, built once per geometry."""
+    line = cache.line_size
+    if SCRATCH_BASE + line * cache.num_sets > PARSE_BASE:
+        raise ValueError("cache period too large for the fixed handler address map")
+    n_parse = -(-packet_size // line)
+    parse_addrs = [PARSE_BASE + i * line for i in range(n_parse)]
+    scatter = random.Random(scratch_seed)
+    offsets = sorted(scatter.sample(range(cache.num_sets), scratch_lines))
+    scratch_addrs = [SCRATCH_BASE + o * line for o in offsets]
+    return tuple(parse_addrs), tuple(scratch_addrs), WorkingSet(cache, parse_addrs + scratch_addrs)
+
+
 class SimulatedBackend:
     """Serial request handler over the deterministic cache model."""
 
@@ -143,27 +164,22 @@ class SimulatedBackend:
         self.kind = config.countermeasure
         self.cm_state = make_state(config.countermeasure)
         self.prng = random.Random(config.prng_seed)
-        line = config.cache.line_size
-        period = line * config.cache.num_sets
-        if SCRATCH_BASE + period > PARSE_BASE:
-            raise ValueError("cache period too large for the fixed handler address map")
-        n_parse = -(-config.packet_size // line)
-        self.parse_addrs = [PARSE_BASE + i * line for i in range(n_parse)]
-        scatter = random.Random(config.scratch_seed)
-        offsets = sorted(scatter.sample(range(config.cache.num_sets), config.scratch_lines))
-        self.scratch_addrs = [SCRATCH_BASE + o * line for o in offsets]
+        parse, scratch, self.working_set = _handler_working_set(
+            config.cache, config.packet_size, config.scratch_lines, config.scratch_seed
+        )
+        self.parse_addrs = list(parse)
+        self.scratch_addrs = list(scratch)
 
     def handle(self, plaintext: bytes) -> tuple[int, bytes]:
         """Serve one timing request; returns (cycles, ciphertext)."""
         disturbance = apply(self.kind, self.cm_state, self.prng)
-        overhead = self.cache.access_all(self.parse_addrs)
-        scratch = self.cache.access_all(self.scratch_addrs)
+        walk = self.cache.walk(self.working_set)
         trace: list[tuple[int, int]] = []
         ct = encrypt(plaintext, self.round_keys, TTABLES, trace)
         sim = run_encryption(self.cache, trace, PACKED_LAYOUT, disturbance)
         cycles = sim.cycles
         if self.config.timing_scope == "whole_handler":
-            cycles += overhead.cycles + scratch.cycles
+            cycles += walk.cycles
         return cycles, ct
 
     def ciphertext(self, plaintext: bytes) -> bytes:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 from random import Random
@@ -42,6 +43,17 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
 
 
 def _sizes(text: str) -> list[int]:
@@ -95,7 +107,12 @@ def cmd_collect(args) -> int:
         timeout=args.timeout,
         retries=args.retries,
     ) as oracle:
-        profile = atk.collect_profile(oracle, args.samples, Random(args.seed))
+        try:
+            profile = atk.collect_profile(oracle, args.samples, Random(args.seed))
+        except atk.CollectionError as exc:
+            atk.save_profile(exc.partial, args.out)
+            print(f"collect failed: {exc}; partial profile -> {args.out}", file=sys.stderr)
+            return 1
     atk.save_profile(profile, args.out)
     print(f"collected {profile.total_samples} samples -> {args.out}")
     return 0
@@ -203,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--packet-size", type=_at_least(HEADER_LEN), default=800)
-    p.add_argument("--timeout", type=float, default=1.0)
+    p.add_argument("--timeout", type=_positive_float, default=1.0, help="seconds per attempt")
     p.add_argument("--retries", type=_at_least(0), default=5)
     p.set_defaults(func=cmd_collect)
 

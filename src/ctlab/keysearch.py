@@ -13,6 +13,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
 
@@ -201,9 +202,10 @@ def brute_force(
         return [(start + int(i), keys[i].tobytes()) for i in matching]
 
     starts = iter(range(0, total, chunk_size))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
         while wave := list(islice(starts, threads)):
-            for rank, key in sorted(hit for part in pool.map(scan, wave) for hit in part):
+            for rank, key in sorted(hit for part in mapper(scan, wave) for hit in part):
                 if _verify_scalar(key, pairs):
                     return SearchOutcome(key, rank + 1, time.perf_counter() - started)
     return SearchOutcome(None, total, time.perf_counter() - started)

@@ -64,6 +64,46 @@ def test_profile_csv_rejects_damage(tmp_path):
             atk.load_profile(path)
 
 
+def _load_with_last_cell(tmp_path, cell: str):
+    path = tmp_path / "profile.csv"
+    atk.save_profile(atk.TimingProfile(), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + ["15,255," + cell]) + "\n")
+    return atk.load_profile(path)
+
+
+@pytest.mark.parametrize("cell", ["-1,0,0", "1,-5,25", "1,5,-25"])
+def test_profile_csv_rejects_negative_cells(tmp_path, cell):
+    with pytest.raises(atk.ProfileError):
+        _load_with_last_cell(tmp_path, cell)
+
+
+@pytest.mark.parametrize("cell", ["0,5,0", "0,0,25"])
+def test_profile_csv_rejects_sums_without_samples(tmp_path, cell):
+    with pytest.raises(atk.ProfileError):
+        _load_with_last_cell(tmp_path, cell)
+
+
+def test_profile_csv_rejects_sumsq_below_square_of_sum(tmp_path):
+    with pytest.raises(atk.ProfileError):
+        _load_with_last_cell(tmp_path, "2,10,49")  # 49 * 2 < 10 * 10
+    # one sample of 2^53 + 1 with sumsq one short: float arithmetic cannot tell
+    big = 2**53 + 1
+    with pytest.raises(atk.ProfileError):
+        _load_with_last_cell(tmp_path, f"1,{big},{big * big - 1}")
+    # the bounds themselves are possible cells
+    assert _load_with_last_cell(tmp_path, f"1,{big},{big * big}").sumsqs[15][255] == big * big
+    assert _load_with_last_cell(tmp_path, "2,10,50").counts[15][255] == 2
+
+
+def test_simulated_profile_roundtrips(tmp_path):
+    backend = SimulatedBackend(ChannelConfig(key=bytes(16), scratch_lines=16))
+    profile = atk.collect_profile(lambda pt: backend.handle(pt)[0], 300, random.Random(5))
+    path = tmp_path / "profile.csv"
+    atk.save_profile(profile, path)
+    assert atk.load_profile(path) == profile
+
+
 def test_signature_arithmetic_by_hand():
     p = atk.TimingProfile()
     for j in range(16):

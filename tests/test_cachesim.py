@@ -15,6 +15,7 @@ from ctlab.cachesim import (
     LayoutError,
     MemoryLayout,
     SimResult,
+    WorkingSet,
     interleave_accesses,
     run_encryption,
 )
@@ -204,3 +205,75 @@ def test_access_all_matches_single_access():
     res = b_state.access_all(addrs)
     assert res == SimResult(singles, len(addrs) - singles, res.cycles)
     assert (a_state.hits, a_state.misses) == (b_state.hits, b_state.misses)
+
+
+def _foreign_batch(rng, kind, cfg, walk_addrs, oracle):
+    """Addresses outside the walk: MRU hits, aliases of walk sets, re-touches."""
+    line, sets = cfg.line_size, cfg.num_sets
+    if kind == "mru":
+        batch = []
+        for a in rng.sample(walk_addrs, 4):
+            target = (a // line) % sets
+            recent = [b for b in reversed(oracle.history) if b % sets == target]
+            if recent:
+                batch.append(recent[0] * line + rng.randrange(line))
+        return batch
+    if kind == "alias":
+        return [a + rng.randrange(1, 4) * sets * line for a in rng.sample(walk_addrs, 3)]
+    return rng.sample(walk_addrs, 5)
+
+
+@pytest.mark.parametrize("assoc", [1, 2, 4])
+def test_walk_matches_full_replay_and_oracle(assoc):
+    rng = random.Random(100 + assoc)
+    for _ in range(12):
+        line = rng.choice([4, 16, 64])
+        cfg = CacheConfig(line_size=line, num_sets=rng.choice([4, 8, 16]), assoc=assoc,
+                          cold_flush_per_encryption=False)
+        pool = [rng.randrange(0, 64) * line for _ in range(24)]
+        walk_addrs = [rng.choice(pool) + rng.randrange(line) for _ in range(30)]
+        ws = WorkingSet(cfg, walk_addrs)
+        st, twin = CacheState(cfg), CacheState(cfg)
+        oracle = RecencyOracle(line, cfg.num_sets, assoc)
+        for _ in range(60):
+            op = rng.choice(["walk", "walk", "mru", "alias", "retouch", "flush"])
+            if op == "walk":
+                got = st.walk(ws)
+                assert got == twin.access_all(walk_addrs)
+                assert got.hits == sum(oracle.access(a) for a in walk_addrs)
+            elif op == "flush":
+                for cache in (st, twin, oracle):
+                    cache.flush()
+            else:
+                batch = _foreign_batch(rng, op, cfg, walk_addrs, oracle)
+                got = st.access_all(batch)
+                assert got == twin.access_all(batch)
+                assert got.hits == sum(oracle.access(a) for a in batch)
+                if op == "mru":
+                    assert got.misses == 0
+            assert (st.hits, st.misses) == (twin.hits, twin.misses)
+
+
+def test_walk_pays_one_miss_for_one_evicted_line():
+    cfg = CacheConfig(line_size=4, num_sets=16, assoc=1, cold_flush_per_encryption=False)
+    ws = WorkingSet(cfg, [4 * i for i in range(8)])
+    st = CacheState(cfg)
+    assert (st.walk(ws).hits, st.walk(ws).hits) == (0, 8)
+    st.access_all([4 * 3])                  # MRU hit: changes nothing
+    assert st.walk(ws) == SimResult(8, 0, 16)
+    st.access_all([4 * (16 + 3)])           # evicts the walk's line in set 3
+    assert st.walk(ws) == SimResult(7, 1, 7 * 2 + 50)
+    assert st.walk(ws) == SimResult(8, 0, 16)
+    st.flush()
+    assert st.walk(ws).misses == 8
+    assert (st.hits, st.misses) == (8 + 8 + 7 + 8 + 1, 8 + 1 + 8 + 1)
+
+
+def test_working_set_steady_hits():
+    cfg = CacheConfig(line_size=64, num_sets=4, assoc=2)
+    # set 0: three lines round-robin in two ways never hit; set 1: two lines always hit
+    ws = WorkingSet(cfg, [0, 256, 512, 64, 320, 64])
+    assert ws.steady == {0: 0, 1: 3}
+    assert ws.by_set == {0: [0, 256, 512], 1: [64, 320, 64]}
+    with pytest.raises(ValueError):
+        CacheState(CacheConfig(line_size=64, num_sets=8, assoc=2)).walk(ws)

@@ -89,23 +89,48 @@ def test_simulated_backend_deterministic():
     assert runs[0] == runs[1]
 
 
-def test_none_kind_is_bit_identical_to_bare_pipeline():
-    from ctlab.cachesim import PACKED_LAYOUT, CacheState, run_encryption
+BARE_GEOMETRIES = {
+    # configs/attack.cfg: direct-mapped, persistent, 200 parse + 320 scratch lines
+    "attack": dict(cache=CacheConfig(line_size=4, num_sets=2048, assoc=1,
+                                     cold_flush_per_encryption=False),
+                   scratch_lines=320, scratch_seed=9),
+    "assoc4": dict(cache=CacheConfig(line_size=16, num_sets=128, assoc=4,
+                                     cold_flush_per_encryption=False),
+                   scratch_lines=96),
+    "cold": dict(cache=CacheConfig(line_size=4, num_sets=2048, assoc=1), scratch_lines=320),
+    "whole": dict(cache=CacheConfig(line_size=16, num_sets=256, assoc=2,
+                                    cold_flush_per_encryption=False),
+                  scratch_lines=64, timing_scope="whole_handler"),
+}
 
-    cfg = _cfg(countermeasure=Kind.NONE)
-    backend = ch.SimulatedBackend(cfg)
-    bare_cache = CacheState(cfg.cache)
+
+def test_every_kind_is_bit_identical_to_bare_pipeline():
+    """handle's incremental walk equals replaying every handler line, for all kinds."""
+    from ctlab.cachesim import PACKED_LAYOUT, CacheState, run_encryption
+    from ctlab.countermeasures import apply, make_state
+
     rk = aes.expand_key(KEY)
-    rng = random.Random(12)
-    for _ in range(32):
-        pt = rng.randbytes(16)
-        got, _ = backend.handle(pt)
-        bare_cache.access_all(backend.parse_addrs)
-        bare_cache.access_all(backend.scratch_addrs)
-        trace: list[tuple[int, int]] = []
-        aes.encrypt(pt, rk, trace=trace)
-        want = run_encryption(bare_cache, trace, PACKED_LAYOUT).cycles
-        assert got == want
+    for name, geometry in BARE_GEOMETRIES.items():
+        for kind in Kind:
+            cfg = _cfg(countermeasure=kind, **geometry)
+            backend = ch.SimulatedBackend(cfg)
+            bare_cache = CacheState(cfg.cache)
+            cm_state, prng = make_state(kind), random.Random(cfg.prng_seed)
+            rng = random.Random(12)
+            for _ in range(40):
+                pt = rng.randbytes(16)
+                got, _ = backend.handle(pt)
+                disturbance = apply(kind, cm_state, prng)
+                parse = bare_cache.access_all(backend.parse_addrs)
+                scratch = bare_cache.access_all(backend.scratch_addrs)
+                trace: list[tuple[int, int]] = []
+                aes.encrypt(pt, rk, trace=trace)
+                want = run_encryption(bare_cache, trace, PACKED_LAYOUT, disturbance).cycles
+                if cfg.timing_scope == "whole_handler":
+                    want += parse.cycles + scratch.cycles
+                assert got == want, (name, kind)
+            assert (backend.cache.hits, backend.cache.misses) == (
+                bare_cache.hits, bare_cache.misses), (name, kind)
 
 
 @pytest.mark.parametrize("kind", list(Kind))

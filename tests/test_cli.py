@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import signal
+import socket
 import subprocess
 import sys
 
@@ -59,7 +60,11 @@ def test_parser_rejects_bad_values():
     ["search", "--candidates", "c.csv", "--pair", "00" * 16 + ":" + "00" * 16, "--chunk", "0"],
     ["bench-rate", "--threads", "0"],
     ["bench-rate", "--threads", "two"],
-], ids=["retries", "samples", "packet-size", "search-threads", "chunk", "bench-threads", "not-int"])
+    ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--timeout", "0"],
+    ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--timeout", "-1"],
+    ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--timeout", "nan"],
+], ids=["retries", "samples", "packet-size", "search-threads", "chunk", "bench-threads", "not-int",
+        "timeout-zero", "timeout-negative", "timeout-nan"])
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
@@ -74,6 +79,19 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, line):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--config", str(path)])
     assert f"unknown config key {line.split()[0]!r}" in str(exc.value.code)
+
+
+def test_collect_failure_saves_partial_profile_and_exits_nonzero(tmp_path, capsys):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    out = tmp_path / "partial.csv"
+    rc = main(["collect", "--endpoint", f"127.0.0.1:{port}", "--samples", "1",
+               "--timeout", "0.01", "--retries", "0", "--out", str(out)])
+    assert rc != 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "0/1 collected" in err[0] and str(out) in err[0]
+    assert atk.load_profile(out).total_samples == 0
 
 
 def test_collect_and_correlate_verbs(tmp_path, config_file):
