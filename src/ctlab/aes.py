@@ -14,11 +14,8 @@ rounds 1..9 on Te0..Te3, then 16 final-round Te4 lookups).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 TE0, TE1, TE2, TE3, TE4 = 0, 1, 2, 3, 4
 TABLE_IDS = (TE0, TE1, TE2, TE3, TE4)
-TABLE_NAMES = ("Te0", "Te1", "Te2", "Te3", "Te4")
 TABLE_BYTES = 1024          # 256 entries of 4 bytes each
 TRACE_LEN = 160
 
@@ -50,14 +47,6 @@ SBOX = (
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
-class TTableSet(NamedTuple):
-    te0: tuple[int, ...]
-    te1: tuple[int, ...]
-    te2: tuple[int, ...]
-    te3: tuple[int, ...]
-    te4: tuple[int, ...]
-
-
 def xtime(b: int) -> int:
     """Multiply by x in GF(2^8) with the AES reduction polynomial."""
     b <<= 1
@@ -70,8 +59,8 @@ def _ror8(w: int) -> int:
     return ((w >> 8) | (w << 24)) & 0xFFFFFFFF
 
 
-def generate_ttables() -> TTableSet:
-    """Derive Te0..Te4 from the S-box and xtime."""
+def generate_ttables() -> tuple[tuple[int, ...], ...]:
+    """Derive (Te0, Te1, Te2, Te3, Te4) from the S-box and xtime."""
     te0, te4 = [], []
     for x in range(256):
         s = SBOX[x]
@@ -82,7 +71,7 @@ def generate_ttables() -> TTableSet:
     te1 = [_ror8(w) for w in te0]
     te2 = [_ror8(w) for w in te1]
     te3 = [_ror8(w) for w in te2]
-    return TTableSet(tuple(te0), tuple(te1), tuple(te2), tuple(te3), tuple(te4))
+    return tuple(te0), tuple(te1), tuple(te2), tuple(te3), tuple(te4)
 
 
 TTABLES = generate_ttables()
@@ -117,7 +106,7 @@ def expand_key(key: bytes) -> list[int]:
 def encrypt(
     plaintext: bytes,
     round_keys: list[int],
-    tables: TTableSet = TTABLES,
+    tables: tuple[tuple[int, ...], ...] = TTABLES,
     trace: list[tuple[int, int]] | None = None,
 ) -> bytes:
     """Encrypt one block; optionally record every table lookup into trace.
@@ -172,9 +161,3 @@ def encrypt(
           ^ (te4[d2] & 0x0000FF00) ^ (te4[d3] & 0xFF) ^ rk[43])
     return ((s0 << 96) | (s1 << 64) | (s2 << 32) | s3).to_bytes(16, "big")
 
-
-def first_round_indices(plaintext: bytes, key: bytes) -> list[int]:
-    """Table indices leaked by round 1: index j is plaintext[j] XOR key[j]."""
-    _check16(plaintext, "plaintext")
-    _check16(key, "key")
-    return [p ^ k for p, k in zip(plaintext, key)]

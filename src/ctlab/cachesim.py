@@ -58,10 +58,6 @@ class CacheConfig:
         if self.hit_cycles < 0 or self.miss_cycles < 0:
             raise ValueError("cycle costs must be non-negative")
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.line_size * self.num_sets * self.assoc
-
 
 @dataclass(frozen=True)
 class MemoryLayout:
@@ -81,12 +77,6 @@ class MemoryLayout:
                 raise LayoutError("table regions overlap")
         addresses = {(t, i): self.bases[t] + 4 * i for t in TABLE_IDS for i in range(256)}
         object.__setattr__(self, "addresses", addresses)
-
-    def element_address(self, table_id: int, index: int) -> int:
-        try:
-            return self.addresses[table_id, index]
-        except KeyError:
-            raise LayoutError(f"table entry ({table_id}, {index}) outside table regions") from None
 
 
 PACKED_BASE = 0x40000

@@ -276,34 +276,6 @@ def start_server_thread(config: ChannelConfig, host: str = "127.0.0.1", port: in
     return server, thread
 
 
-@dataclass(frozen=True)
-class TimingSample:
-    plaintext: bytes
-    cycles: int
-
-
-def measure_once(
-    endpoint: tuple[str, int],
-    plaintext: bytes,
-    packet_size: int = DEFAULT_PACKET_SIZE,
-    timeout: float = 1.0,
-) -> TimingSample:
-    """One timing probe, one attempt: send a 0x01 request, return the reported cycles."""
-    with UdpOracle(endpoint, packet_size, timeout, retries=0) as oracle:
-        return TimingSample(plaintext, oracle(plaintext))
-
-
-def ciphertext_query(
-    endpoint: tuple[str, int],
-    plaintext: bytes,
-    packet_size: int = DEFAULT_PACKET_SIZE,
-    timeout: float = 1.0,
-) -> bytes:
-    """Fetch the ciphertext for one plaintext via a 0x02 request, one attempt."""
-    with UdpOracle(endpoint, packet_size, timeout, retries=0) as oracle:
-        return oracle.ciphertext(plaintext)
-
-
 class UdpOracle:
     """Callable plaintext -> cycles against a server, reusing one socket."""
 

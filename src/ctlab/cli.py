@@ -14,50 +14,60 @@ from . import harness, keysearch
 from .channel import HEADER_LEN, TimingServer, UdpOracle, default_port
 
 
-def _endpoint(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise argparse.ArgumentTypeError("endpoint must be host:port")
-    return host, int(port)
-
-
-def _pair(text: str) -> tuple[bytes, bytes]:
-    try:
-        pt_hex, ct_hex = text.split(":")
-        pt, ct = bytes.fromhex(pt_hex), bytes.fromhex(ct_hex)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad pair {text!r}: {exc}") from None
-    if len(pt) != 16 or len(ct) != 16:
-        raise argparse.ArgumentTypeError("pair needs 16-byte pt and ct hex")
-    return pt, ct
-
-
-def _at_least(low: int):
-    """argparse type for an integer no smaller than ``low``."""
+def _integer(low: int, high: float = math.inf):
+    """argparse type for an integer within low..high."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be within {low}..{high}, got {value}")
         return value
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type for a finite number above zero."""
+def _number(low: float, *, above: bool = False):
+    """argparse type for a finite number no smaller than ``low`` (or above it)."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (low < value if above else low <= value) or value == math.inf:
+            bound = "above" if above else "at least"
+            raise argparse.ArgumentTypeError(f"must be finite and {bound} {low:g}, got {text}")
+        return value
+    return parse
+
+
+def _endpoint(text: str) -> tuple[str, int]:
+    host, sep, port = text.rpartition(":")
+    if not sep or not host:
+        raise argparse.ArgumentTypeError("endpoint must be host:port")
+    return host, _integer(1, 65535)(port)  # a datagram cannot be sent to port 0
+
+
+def _block(text: str) -> bytes:
+    """argparse type for one 16-byte block written as 32 hex digits."""
     try:
-        value = float(text)
+        value = bytes.fromhex(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+        raise argparse.ArgumentTypeError(f"not hex: {text!r}") from None
+    if len(value) != 16:
+        raise argparse.ArgumentTypeError(f"need 16 bytes of hex, got {len(value)}")
     return value
 
 
+def _pair(text: str) -> tuple[bytes, bytes]:
+    pt, sep, ct = text.partition(":")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"pair must be PTHEX:CTHEX, got {text!r}")
+    return _block(pt), _block(ct)
+
+
 def _sizes(text: str) -> list[int]:
-    return [int(float(part)) for part in text.split(",") if part]
+    return [int(_number(1)(part)) for part in text.split(",") if part]
 
 
 def _load_experiment(path: str, overrides: list[str]) -> harness.ExperimentConfig:
@@ -121,10 +131,7 @@ def cmd_collect(args) -> int:
 def cmd_correlate(args) -> int:
     study = atk.signature(atk.load_profile(args.study))
     attacked = atk.signature(atk.load_profile(args.attack))
-    study_key = bytes.fromhex(args.study_key)
-    if len(study_key) != 16:
-        raise SystemExit("--study-key must be 16 bytes of hex")
-    corr = atk.correlate(study, study_key, attacked)
+    corr = atk.correlate(study, args.study_key, attacked)
     report = atk.candidate_sets(corr, args.retention)
     atk.save_candidates(report, args.out)
     print(
@@ -139,7 +146,6 @@ def cmd_search(args) -> int:
     outcome = keysearch.brute_force(
         report,
         args.pair,
-        order=args.order,
         threads=args.threads,
         chunk_size=args.chunk,
     )
@@ -173,7 +179,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench_rate(args) -> int:
-    points = keysearch.measure_search_rate(args.sizes, threads=args.threads)
+    try:
+        points = keysearch.measure_search_rate(args.sizes, threads=args.threads)
+    except keysearch.SearchError as exc:
+        print(f"bench-rate failed: {exc}", file=sys.stderr)
+        return 1
     for size, seconds in points:
         print(f"size={size} seconds={seconds:.4f}")
     try:
@@ -210,25 +220,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role", choices=("study", "attack"), default="attack",
                    help="which configured key the server loads")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None,
-                   help=f"UDP port (default {default_port()})")
+    p.add_argument("--port", type=_integer(0, 65535), default=None,
+                   help=f"UDP port, 0 for any free one (default {default_port()})")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("collect", help="collect a timing profile over UDP")
     p.add_argument("--endpoint", type=_endpoint, required=True, metavar="HOST:PORT")
-    p.add_argument("--samples", type=_at_least(1), required=True)
+    p.add_argument("--samples", type=_integer(1), required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--packet-size", type=_at_least(HEADER_LEN), default=800)
-    p.add_argument("--timeout", type=_positive_float, default=1.0, help="seconds per attempt")
-    p.add_argument("--retries", type=_at_least(0), default=5)
+    p.add_argument("--packet-size", type=_integer(HEADER_LEN), default=800)
+    p.add_argument("--timeout", type=_number(0, above=True), default=1.0,
+                   help="seconds per attempt")
+    p.add_argument("--retries", type=_integer(0), default=5)
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("correlate", help="profiles -> candidate key bytes")
     p.add_argument("--study", required=True, help="known-key profile CSV")
     p.add_argument("--attack", required=True, help="unknown-key profile CSV")
-    p.add_argument("--study-key", required=True, help="hex key of the study server")
-    p.add_argument("--retention", type=float, default=1.0,
+    p.add_argument("--study-key", type=_block, required=True, help="hex key of the study server")
+    p.add_argument("--retention", type=_number(0), default=1.0,
                    help="keep scores within this many sigma of the peak")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_correlate)
@@ -237,9 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--pair", type=_pair, action="append", required=True,
                    metavar="PTHEX:CTHEX")
-    p.add_argument("--threads", type=_at_least(1), default=1)
-    p.add_argument("--order", choices=("score", "lex"), default="score")
-    p.add_argument("--chunk", type=_at_least(1), default=keysearch.DEFAULT_CHUNK)
+    p.add_argument("--threads", type=_integer(1), default=1)
+    p.add_argument("--chunk", type=_integer(1), default=keysearch.DEFAULT_CHUNK)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("experiment", help="full pipeline from a config file")
@@ -254,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-rate", help="measure local brute-force speed")
     p.add_argument("--sizes", type=_sizes, default=[10**6, 3 * 10**6, 10**7],
                    metavar="N,N,...", help="key-space sizes (floats like 1e6 accepted)")
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--threads", type=_integer(1), default=1)
     p.add_argument("--fit-min", type=float, default=10**6,
                    help="smallest size included in the rate fit")
     p.set_defaults(func=cmd_bench_rate)

@@ -216,7 +216,6 @@ class EfficiencyReport:
     found_key: str | None = None
     recovered: bool | None = None
     keys_tested: int | None = None
-    search_elapsed: float | None = None
     caveat: str | None = None
     hardware_note: str | None = None
     failed_stage: str | None = None
@@ -300,7 +299,7 @@ def run_experiment(
         keyspace_log2 = sum(math.log2(k) for k in keyspaces) / config.runs
         estimate = estimate_search_time(keyspaces[0], REFERENCE_ALPHA)
 
-        found_key = recovered = keys_tested = elapsed = None
+        found_key = recovered = keys_tested = None
         if 0 < keyspaces[0] <= config.search_limit:
             stage = "search"
             pair_rng = Random(config.seed * 1_000_003 - 1)
@@ -315,7 +314,6 @@ def run_experiment(
             found_key = outcome.found.hex() if outcome.found else None
             recovered = outcome.found == config.attack_key
             keys_tested = outcome.keys_tested
-            elapsed = outcome.elapsed
 
         return EfficiencyReport(
             countermeasure=label,
@@ -331,7 +329,6 @@ def run_experiment(
             found_key=found_key,
             recovered=recovered,
             keys_tested=keys_tested,
-            search_elapsed=elapsed,
             caveat=EFFICIENCY_CAVEAT if eff == 0 else None,
             hardware_note=HARDWARE_NOTE if config.backend == "native" else None,
         )

@@ -125,16 +125,8 @@ def encrypt_batch(plaintext: bytes, schedule: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ordered_values(cands: CandidateReport, order: str) -> list[tuple[int, ...]]:
-    if order == "score":
-        return [tuple(vals) for vals in cands.values]
-    if order == "lex":
-        return [tuple(sorted(vals)) for vals in cands.values]
-    raise ValueError(f"unknown enumeration order {order!r}")
-
-
 def _chunk_keys(
-    values: list[tuple[int, ...]], sizes: list[int], start: int, count: int
+    values: tuple[tuple[int, ...], ...], sizes: list[int], start: int, count: int
 ) -> np.ndarray:
     # mixed-radix decode: position 15 is the fastest-varying digit
     idx = np.uint64(start) + np.arange(count, dtype=np.uint64)
@@ -167,7 +159,6 @@ def brute_force(
     cands: CandidateReport,
     pairs,
     *,
-    order: str = "score",
     threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> SearchOutcome:
@@ -182,7 +173,7 @@ def brute_force(
         log.warning("single verification pair; a second removes any false-positive doubt")
     if threads < 1 or chunk_size < 1:
         raise ValueError("threads and chunk_size must be positive")
-    values = _ordered_values(cands, order)
+    values = cands.values
     sizes = [len(v) for v in values]
     total = math.prod(sizes)
     if total > 1 << 62:

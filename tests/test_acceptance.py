@@ -29,7 +29,7 @@ from ctlab.cachesim import (
     CacheState,
     run_encryption,
 )
-from ctlab.channel import ChannelConfig, SimulatedBackend, measure_once, start_server_thread
+from ctlab.channel import ChannelConfig, SimulatedBackend, UdpOracle, start_server_thread
 from ctlab.countermeasures import (
     Kind,
     SpecifiedLoopState,
@@ -196,7 +196,7 @@ def test_criterion_09_cache_simulator_oracle_equivalence():
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
             cold = CacheState(deep)
             result = run_encryption(cold, trace, layout)
-            lines = {layout.element_address(t, i) >> 6 for t, i in trace}
+            lines = {layout.addresses[t, i] >> 6 for t, i in trace}
             assert result.misses == len(lines)
             assert result.hits == len(trace) - len(lines)
     elapsed = time.perf_counter() - started
@@ -221,14 +221,16 @@ def test_criterion_10_wire_roundtrip_and_live_loopback():
 
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     server, thread = start_server_thread(ChannelConfig(key=key))
+    mirror = SimulatedBackend(ChannelConfig(key=key))
     try:
         rk = aes.expand_key(key)
-        for i in range(20):
-            pt = rng.randbytes(16)
-            sample = measure_once(server.address, pt)
-            assert sample.plaintext == pt
-            assert sample.cycles > 0
-            assert ch.ciphertext_query(server.address, pt) == aes.encrypt(pt, rk)
+        with UdpOracle(server.address, retries=0) as oracle:
+            for i in range(20):
+                pt = rng.randbytes(16)
+                cycles = oracle(pt)
+                assert cycles == mirror.handle(pt)[0]
+                assert cycles > 0
+                assert oracle.ciphertext(pt) == aes.encrypt(pt, rk)
     finally:
         server.close()
         thread.join(timeout=2)

@@ -41,15 +41,15 @@ def test_sbox_matches_field_construction():
 def test_table_word_packing():
     # Te0[0] packs (2*0x63, 0x63, 0x63, 3*0x63) high byte first.
     s = 0x63
-    assert aes.TTABLES.te0[0] == (0xC6 << 24) | (s << 16) | (s << 8) | 0xA5
-    assert aes.TTABLES.te4[0] == 0x63636363
+    assert aes.TTABLES[aes.TE0][0] == (0xC6 << 24) | (s << 16) | (s << 8) | 0xA5
+    assert aes.TTABLES[aes.TE4][0] == 0x63636363
 
 
 def test_table_rotation_chain():
     t = aes.TTABLES
     for x in range(256):
-        w = t.te0[x]
-        for nxt in (t.te1, t.te2, t.te3):
+        w = t[aes.TE0][x]
+        for nxt in (t[aes.TE1], t[aes.TE2], t[aes.TE3]):
             w = ((w >> 8) | (w << 24)) & 0xFFFFFFFF
             assert nxt[x] == w
 
@@ -57,7 +57,7 @@ def test_table_rotation_chain():
 def test_te4_replicates_sbox():
     for x in range(256):
         s = aes.SBOX[x]
-        assert aes.TTABLES.te4[x] == s * 0x01010101
+        assert aes.TTABLES[aes.TE4][x] == s * 0x01010101
 
 
 def test_key_schedule_shape_and_prefix():
@@ -110,7 +110,7 @@ def test_first_round_trace_indices_are_pt_xor_key():
         key, pt = rng.randbytes(16), rng.randbytes(16)
         trace: list[tuple[int, int]] = []
         aes.encrypt(pt, aes.expand_key(key), trace=trace)
-        leak = aes.first_round_indices(pt, key)
+        leak = [p ^ k for p, k in zip(pt, key)]
         got = [idx for _, idx in trace[:16]]
         assert got == [leak[j] for j in SHIFT_ORDER]
 
@@ -141,12 +141,6 @@ def test_whole_trace_matches_reference_round_states():
         assert ct == bytes(state[r][c] for c in range(4) for r in range(4))
 
 
-def test_first_round_indices_helper():
-    pt = bytes(range(16))
-    key = bytes(range(16, 32))
-    assert aes.first_round_indices(pt, key) == [p ^ k for p, k in zip(pt, key)]
-
-
 def test_input_validation():
     rk = aes.expand_key(FIPS_KEY)
     with pytest.raises(ValueError):
@@ -155,5 +149,3 @@ def test_input_validation():
         aes.encrypt(FIPS_PT, rk[:-1])
     with pytest.raises(ValueError):
         aes.expand_key(b"short")
-    with pytest.raises(ValueError):
-        aes.first_round_indices(b"x" * 16, b"y" * 15)

@@ -30,7 +30,6 @@ def test_config_validation():
         CacheConfig(num_sets=100)
     with pytest.raises(ValueError):
         CacheConfig(assoc=0)
-    assert CacheConfig().capacity_bytes == 16 * 1024
 
 
 def test_layout_disjointness():
@@ -44,13 +43,12 @@ def test_layout_disjointness():
 
 
 def test_element_address():
-    layout = PACKED_LAYOUT
-    assert layout.element_address(0, 0) == layout.bases[0]
-    assert layout.element_address(2, 7) == layout.bases[2] + 28
-    with pytest.raises(LayoutError):
-        layout.element_address(5, 0)
-    with pytest.raises(LayoutError):
-        layout.element_address(0, 256)
+    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
+        assert layout.addresses[0, 0] == layout.bases[0]
+        assert layout.addresses[2, 7] == layout.bases[2] + 28
+        assert layout.addresses == {
+            (t, i): layout.bases[t] + 4 * i for t in range(5) for i in range(256)
+        }
 
 
 def test_partitioned_set_ranges_disjoint_te0_to_te3():
@@ -139,7 +137,7 @@ def test_cold_misses_equal_distinct_lines():
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
             res = run_encryption(CacheState(cfg), trace, layout)
             lines = {
-                layout.element_address(t, i) // cfg.line_size for t, i in trace
+                layout.addresses[t, i] // cfg.line_size for t, i in trace
             }
             assert res.misses == len(lines)
             assert res.hits == len(trace) - len(lines)

@@ -193,8 +193,8 @@ def test_loopback_simulated_session():
 def test_loopback_native_sanity_bound():
     server, thread = ch.start_server_thread(_cfg(backend="native"))
     try:
-        sample = ch.measure_once(server.address, bytes(16))
-        assert 0 < sample.cycles < 10**9
+        with ch.UdpOracle(server.address, retries=0) as oracle:
+            assert 0 < oracle(bytes(16)) < 10**9
     finally:
         server.close()
         thread.join(timeout=2)
@@ -228,8 +228,9 @@ def test_key_never_on_the_wire():
 
 
 def test_timeout_raises_channel_timeout():
-    with pytest.raises(ch.ChannelTimeout):
-        ch.measure_once(("127.0.0.1", 1), bytes(16), timeout=0.05)
+    with ch.UdpOracle(("127.0.0.1", 1), timeout=0.05, retries=0) as oracle:
+        with pytest.raises(ch.ChannelTimeout):
+            oracle(bytes(16))
 
 
 def test_negative_retries_rejected():
@@ -331,8 +332,10 @@ def test_one_shot_queries_make_a_single_attempt():
         return True
 
     with fake_server(drop_all) as endpoint:
-        with pytest.raises(ch.ChannelTimeout):
-            ch.ciphertext_query(endpoint, bytes(16), timeout=0.1)
-        with pytest.raises(ch.ChannelTimeout):
-            ch.measure_once(endpoint, bytes(16), timeout=0.1)
+        with ch.UdpOracle(endpoint, timeout=0.1, retries=0) as oracle:
+            with pytest.raises(ch.ChannelTimeout):
+                oracle.ciphertext(bytes(16))
+            with pytest.raises(ch.ChannelTimeout):
+                oracle(bytes(16))
+            assert oracle.timeouts == 2
     assert seen == [0, 1]

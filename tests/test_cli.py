@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import re
+import shlex
 import signal
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ctlab import aes
 from ctlab import attack as atk
 from ctlab import harness as hn
-from ctlab.channel import ChannelConfig, measure_once, start_server_thread
+from ctlab.channel import ChannelConfig, UdpOracle, start_server_thread
 from ctlab.cli import build_parser, main
 
 STUDY_KEY = "2b7e151628aed2a6abf7158809cf4f3c"
@@ -63,8 +66,25 @@ def test_parser_rejects_bad_values():
     ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--timeout", "0"],
     ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--timeout", "-1"],
     ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--timeout", "nan"],
+    ["serve", "--config", "c.cfg", "--port", "70000"],
+    ["serve", "--config", "c.cfg", "--port", "-5"],
+    ["collect", "--endpoint", "127.0.0.1:70000", "--samples", "1", "--out", "x.csv"],
+    ["collect", "--endpoint", "127.0.0.1:-1", "--samples", "1", "--out", "x.csv"],
+    ["collect", "--endpoint", "127.0.0.1:0", "--samples", "1", "--out", "x.csv"],
+    ["correlate", "--study", "s.csv", "--attack", "a.csv", "--out", "c.csv", "--study-key", "zz"],
+    ["correlate", "--study", "s.csv", "--attack", "a.csv", "--out", "c.csv",
+     "--study-key", "00" * 15],
+    ["correlate", "--study", "s.csv", "--attack", "a.csv", "--out", "c.csv",
+     "--study-key", "00" * 16, "--retention", "-1"],
+    ["correlate", "--study", "s.csv", "--attack", "a.csv", "--out", "c.csv",
+     "--study-key", "00" * 16, "--retention", "nan"],
+    ["bench-rate", "--sizes", "0"],
+    ["bench-rate", "--sizes", "1e4,-5"],
 ], ids=["retries", "samples", "packet-size", "search-threads", "chunk", "bench-threads", "not-int",
-        "timeout-zero", "timeout-negative", "timeout-nan"])
+        "timeout-zero", "timeout-negative", "timeout-nan", "serve-port-high", "serve-port-negative",
+        "endpoint-port-high", "endpoint-port-negative", "endpoint-port-zero",
+        "study-key-not-hex", "study-key-short",
+        "retention-negative", "retention-nan", "sizes-zero", "sizes-negative"])
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
@@ -177,6 +197,28 @@ def test_bench_rate_verb(capsys):
     assert "alpha=" in printed and "size=10000" in printed
 
 
+def test_unshapeable_bench_size_fails_in_one_line(capsys):
+    assert main(["bench-rate", "--sizes", "257"]) == 1  # a prime above 256
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "257" in err[0]
+
+
+def test_readme_commands_parse():
+    # every ctlab line in README's code blocks, continuations joined
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = [
+        re.sub(r"<[^>]*>", "0" * 32, line.strip())
+        for block in text.split("```")[1::2]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("ctlab ")
+    ]
+    assert len(commands) >= 10
+    for line in commands:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
 def test_serve_subprocess_roundtrip(tmp_path, config_file):
     proc = subprocess.Popen(
         [sys.executable, "-m", "ctlab.cli", "serve", "--config", str(config_file),
@@ -187,8 +229,8 @@ def test_serve_subprocess_roundtrip(tmp_path, config_file):
     try:
         banner = proc.stdout.readline()
         port = int(banner.rsplit(":", 1)[1])
-        sample = measure_once(("127.0.0.1", port), bytes(16), timeout=2.0)
-        assert sample.cycles > 0
+        with UdpOracle(("127.0.0.1", port), timeout=2.0, retries=0) as oracle:
+            assert oracle(bytes(16)) > 0
     finally:
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=5) == 0

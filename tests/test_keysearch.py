@@ -113,17 +113,12 @@ def test_thread_count_does_not_change_result():
     assert all(aes.encrypt(pt, rk) == ct for pt, ct in pairs)
 
 
-def test_lexicographic_order_changes_rank_not_result():
+def test_score_order_sets_rank():
     key = bytes([5] * 16)
     values = [[200, key[j], 90] if j == 15 else [key[j]] for j in range(16)]
-    report = _report_for(values)
-    by_score = ks.brute_force(report, _pairs_for(key))
-    by_lex = ks.brute_force(report, _pairs_for(key), order="lex")
-    assert by_score.found == by_lex.found == key
+    by_score = ks.brute_force(_report_for(values), _pairs_for(key))
+    assert by_score.found == key
     assert by_score.keys_tested == 2  # score order: 200 first, then the truth
-    assert by_lex.keys_tested == 1  # lex order: 5 sorts before 90 and 200
-    with pytest.raises(ValueError):
-        ks.brute_force(report, _pairs_for(key), order="shuffled")
 
 
 def test_brute_force_input_validation():
