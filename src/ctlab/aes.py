@@ -7,9 +7,11 @@ Te1..Te3 are successive 8-bit right rotations of Te0. Te4 replicates
 S[x] into all four lanes and serves the final round.
 
 Encryption only. Ten rounds, 44-word key schedule. When a trace sink is
-supplied, every table lookup appends one (table_id, index) entry; one
+supplied, every lookup of index i in table t appends record[t][i]; one
 encryption always produces exactly 160 entries (16 lookups per round for
-rounds 1..9 on Te0..Te3, then 16 final-round Te4 lookups).
+rounds 1..9 on Te0..Te3, then 16 final-round Te4 lookups). The default
+record, PAIRS, yields (table_id, index) pairs; the simulator passes a
+layout's rows instead and so records byte addresses directly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ TE0, TE1, TE2, TE3, TE4 = 0, 1, 2, 3, 4
 TABLE_IDS = (TE0, TE1, TE2, TE3, TE4)
 TABLE_BYTES = 1024          # 256 entries of 4 bytes each
 TRACE_LEN = 160
+
+# PAIRS[t][i] is the shared (t, i) trace entry for index i of table t.
+PAIRS = tuple(tuple((t, i) for i in range(256)) for t in TABLE_IDS)
 
 SBOX = (
     0x63, 0x7C, 0x77, 0x7B, 0xF2, 0x6B, 0x6F, 0xC5, 0x30, 0x01, 0x67, 0x2B,
@@ -107,20 +112,25 @@ def encrypt(
     plaintext: bytes,
     round_keys: list[int],
     tables: tuple[tuple[int, ...], ...] = TTABLES,
-    trace: list[tuple[int, int]] | None = None,
+    trace: list | None = None,
+    record: tuple[tuple, ...] = PAIRS,
 ) -> bytes:
     """Encrypt one block; optionally record every table lookup into trace.
 
     The trace sink is an append-only list. Each round computes its 16
-    indices once, extends the trace with them when a sink is given, then
-    XORs the looked-up words; the untraced path pays one ``is not None``
-    test per round for the hook.
+    indices once, extends the trace with record[t][i] for each lookup
+    when a sink is given, then XORs the looked-up words; the untraced
+    path pays one ``is not None`` test per round for the hook. record
+    holds five 256-entry rows, one per table: PAIRS by default, or a
+    MemoryLayout's rows to record byte addresses.
     """
     _check16(plaintext, "plaintext")
     if len(round_keys) != 44:
         raise ValueError("round_keys must hold 44 words")
     te0, te1, te2, te3, te4 = tables
     rk = round_keys
+    if trace is not None:
+        r0, r1, r2, r3, r4 = record
     s0 = int.from_bytes(plaintext[0:4], "big") ^ rk[0]
     s1 = int.from_bytes(plaintext[4:8], "big") ^ rk[1]
     s2 = int.from_bytes(plaintext[8:12], "big") ^ rk[2]
@@ -135,10 +145,10 @@ def encrypt(
             break  # the final round looks these indices up in Te4
         if trace is not None:
             trace += (
-                (TE0, a0), (TE1, a1), (TE2, a2), (TE3, a3),
-                (TE0, b0), (TE1, b1), (TE2, b2), (TE3, b3),
-                (TE0, c0), (TE1, c1), (TE2, c2), (TE3, c3),
-                (TE0, d0), (TE1, d1), (TE2, d2), (TE3, d3),
+                r0[a0], r1[a1], r2[a2], r3[a3],
+                r0[b0], r1[b1], r2[b2], r3[b3],
+                r0[c0], r1[c1], r2[c2], r3[c3],
+                r0[d0], r1[d1], r2[d2], r3[d3],
             )
         s0 = te0[a0] ^ te1[a1] ^ te2[a2] ^ te3[a3] ^ rk[k]
         s1 = te0[b0] ^ te1[b1] ^ te2[b2] ^ te3[b3] ^ rk[k + 1]
@@ -146,10 +156,10 @@ def encrypt(
         s3 = te0[d0] ^ te1[d1] ^ te2[d2] ^ te3[d3] ^ rk[k + 3]
     if trace is not None:
         trace += (
-            (TE4, a0), (TE4, a1), (TE4, a2), (TE4, a3),
-            (TE4, b0), (TE4, b1), (TE4, b2), (TE4, b3),
-            (TE4, c0), (TE4, c1), (TE4, c2), (TE4, c3),
-            (TE4, d0), (TE4, d1), (TE4, d2), (TE4, d3),
+            r4[a0], r4[a1], r4[a2], r4[a3],
+            r4[b0], r4[b1], r4[b2], r4[b3],
+            r4[c0], r4[c1], r4[c2], r4[c3],
+            r4[d0], r4[d1], r4[d2], r4[d3],
         )
     s0 = ((te4[a0] & 0xFF000000) ^ (te4[a1] & 0x00FF0000)
           ^ (te4[a2] & 0x0000FF00) ^ (te4[a3] & 0xFF) ^ rk[40])

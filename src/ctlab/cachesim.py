@@ -5,11 +5,13 @@ line_size; its set is block mod num_sets. Replacement state lives per
 set as a most-recently-used-last list of block numbers, so equal blocks
 are equal (tag, set) pairs and no separate tag math is needed.
 
-run_encryption replays an AES access trace against a table layout (or
-the countermeasure's own layout, when its disturbance carries one),
-optionally interleaving countermeasure accesses, and charges
-hit_cycles/miss_cycles per access plus any flat disturbance cycles.
-PACKED_LAYOUT and PARTITIONED_LAYOUT are the only two layouts in use.
+run_encryption replays one encryption's table addresses, already placed
+under a layout (aes.encrypt records them from layout.rows), optionally
+interleaving countermeasure accesses, and charges hit_cycles/miss_cycles
+per access plus any flat disturbance cycles. MemoryLayout.resolve is the
+one (table, index) -> address mapping, used for countermeasure accesses
+and for pair traces. PACKED_LAYOUT and PARTITIONED_LAYOUT are the only
+two layouts in use.
 
 CacheState.walk replays a fixed address sequence (a WorkingSet)
 incrementally, and exactly. Under LRU, replaying a sequence on the state
@@ -61,9 +63,15 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class MemoryLayout:
-    """Byte base addresses for Te0..Te4; each table occupies 1024 bytes."""
+    """Byte base addresses for Te0..Te4; each table occupies 1024 bytes.
+
+    rows[t][i] is the byte address of index i of table t, the record
+    aes.encrypt takes to trace addresses; resolve maps (table, index)
+    entries to the same addresses.
+    """
 
     bases: tuple[int, int, int, int, int]
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # (table, index) -> byte address, for every valid trace entry
     addresses: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
@@ -75,8 +83,18 @@ class MemoryLayout:
         for (_, end), (nxt, _) in zip(regions, regions[1:]):
             if nxt < end:
                 raise LayoutError("table regions overlap")
-        addresses = {(t, i): self.bases[t] + 4 * i for t in TABLE_IDS for i in range(256)}
+        rows = tuple(tuple(self.bases[t] + 4 * i for i in range(256)) for t in TABLE_IDS)
+        object.__setattr__(self, "rows", rows)
+        addresses = {(t, i): rows[t][i] for t in TABLE_IDS for i in range(256)}
         object.__setattr__(self, "addresses", addresses)
+
+    def resolve(self, entries: Sequence[tuple[int, int]]) -> list[int]:
+        """Byte addresses of (table, index) entries; LayoutError on any outside the tables."""
+        table = self.addresses
+        try:
+            return [table[entry] for entry in entries]
+        except KeyError as exc:
+            raise LayoutError(f"trace entry {exc.args[0]} outside table regions") from None
 
 
 PACKED_BASE = 0x40000
@@ -212,9 +230,7 @@ class CacheState:
         return res
 
 
-def interleave_accesses(
-    trace: list[tuple[int, int]], extra: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
+def interleave_accesses(trace: Sequence[int], extra: Sequence[int]) -> Sequence[int]:
     """Weave countermeasure accesses into an encryption trace.
 
     Extra accesses arrive as one flat fragment carrying equal blocks for
@@ -227,7 +243,7 @@ def interleave_accesses(
     if len(extra) % 5:
         raise ValueError("disturbance fragment must split across 5 injection points")
     step = len(extra) // 5
-    merged: list[tuple[int, int]] = []
+    merged: list[int] = []
     for i in range(5):
         merged.extend(extra[i * step : (i + 1) * step])
         merged.extend(trace[i * 32 : (i + 1) * 32 if i < 4 else len(trace)])
@@ -236,32 +252,32 @@ def interleave_accesses(
 
 def run_encryption(
     state: CacheState,
-    trace: list[tuple[int, int]],
+    addresses: Sequence[int],
     layout: MemoryLayout,
     disturbance=None,
 ) -> SimResult:
-    """Replay one encryption's table accesses through the cache.
+    """Replay one encryption's table addresses through the cache.
 
-    disturbance is any object carrying extra_accesses, extra_cycles and
-    layout (or None); a non-None layout replaces the given one. Flushes
-    first when the config says each encryption starts cold.
+    addresses are the encryption's 160 lookups already placed under
+    layout: recorded by aes.encrypt from layout.rows, or layout.resolve
+    of a (table, index) trace. disturbance is any object carrying
+    extra_accesses, extra_cycles and layout (or None); its
+    (table, index) extra_accesses are resolved under layout and
+    interleaved, and its layout, when set, must be layout itself, since
+    the addresses were placed before the replay. Flushes first when the
+    config says each encryption starts cold.
     cycles = hits*hit + misses*miss + extras.
     """
     cfg = state.config
     if cfg.cold_flush_per_encryption:
         state.flush()
     extra = 0
-    accesses = trace
     if disturbance is not None:
-        layout = disturbance.layout or layout
+        if disturbance.layout not in (None, layout):
+            raise LayoutError("disturbance layout differs from the replay layout")
         if disturbance.extra_accesses:
-            accesses = interleave_accesses(trace, disturbance.extra_accesses)
+            addresses = interleave_accesses(addresses, layout.resolve(disturbance.extra_accesses))
         extra = disturbance.extra_cycles
-    table = layout.addresses
-    try:
-        addresses = [table[entry] for entry in accesses]
-    except KeyError as exc:
-        raise LayoutError(f"trace entry {exc.args[0]} outside table regions") from None
     res = state.access_all(addresses)
     res.cycles += extra
     return res

@@ -10,10 +10,11 @@ logged; the server never dies on malformed input.
 
 Two interchangeable backends answer timing requests. The native backend
 times real encryptions with the highest-resolution monotonic counter
-available (perf_counter_ns). The simulated backend replays the
-encryption's table accesses, placed by the packed table layout, through
-the deterministic cache model and reports exactly the SimResult cycles
-under encrypt_only scope.
+available (perf_counter_ns). The simulated backend traces the encryption
+as byte addresses under the packed table layout (or the countermeasure's
+own layout), recorded by aes.encrypt from the layout's rows, replays
+them through the deterministic cache model with run_encryption, and
+reports exactly the SimResult cycles under encrypt_only scope.
 
 The simulated handler also walks its own working set through the same
 cache on every request: the datagram buffer (packet_size bytes at a
@@ -174,9 +175,10 @@ class SimulatedBackend:
         """Serve one timing request; returns (cycles, ciphertext)."""
         disturbance = apply(self.kind, self.cm_state, self.prng)
         walk = self.cache.walk(self.working_set)
-        trace: list[tuple[int, int]] = []
-        ct = encrypt(plaintext, self.round_keys, TTABLES, trace)
-        sim = run_encryption(self.cache, trace, PACKED_LAYOUT, disturbance)
+        layout = disturbance.layout or PACKED_LAYOUT
+        trace: list[int] = []
+        ct = encrypt(plaintext, self.round_keys, TTABLES, trace, layout.rows)
+        sim = run_encryption(self.cache, trace, layout, disturbance)
         cycles = sim.cycles
         if self.config.timing_scope == "whole_handler":
             cycles += walk.cycles
@@ -230,29 +232,48 @@ class TimingServer:
         self.address: tuple[str, int] = self.sock.getsockname()
         self.requests_served = 0
         self.dropped = 0
+        self.errors = 0  # requests that failed in the backend or on send
         self._stop = threading.Event()
 
     def serve_forever(self) -> None:
+        """Answer requests until stop() or close(); a failing request is
+        logged and counted in errors, and the loop keeps serving."""
         while not self._stop.is_set():
             try:
                 datagram, peer = self.sock.recvfrom(65535)
             except socket.timeout:
                 continue
             except OSError:
-                break
+                if self._stop.is_set() or self.sock.fileno() < 0:
+                    break  # close() shut the socket
+                self.errors += 1
+                log.exception("receive failed")
+                continue
             try:
                 msg_type, pt = decode_request(datagram)
             except WireError as exc:
                 self.dropped += 1
                 log.warning("dropped datagram from %s: %s", peer, exc)
                 continue
-            if msg_type == MSG_TIMING:
-                cycles, _ = self.backend.handle(pt)
-                payload = struct.pack("<Q", cycles)
-            else:
-                payload = self.backend.ciphertext(pt)
-            self.sock.sendto(encode_response(msg_type, pt, payload), peer)
+            try:
+                if msg_type == MSG_TIMING:
+                    cycles, _ = self.backend.handle(pt)
+                    payload = struct.pack("<Q", cycles)
+                else:
+                    payload = self.backend.ciphertext(pt)
+            except Exception:
+                self.errors += 1
+                log.exception("request from %s failed", peer)
+                continue
+            # counted before the reply leaves, so a stop that follows the
+            # client's receipt of the reply cannot miss it
             self.requests_served += 1
+            try:
+                self.sock.sendto(encode_response(msg_type, pt, payload), peer)
+            except OSError:
+                self.requests_served -= 1
+                self.errors += 1
+                log.exception("reply to %s failed", peer)
 
     def stop(self) -> None:
         self._stop.set()
@@ -288,7 +309,14 @@ class UdpOracle:
     ) -> None:
         if retries < 0:
             raise ValueError("retries must be non-negative")
+        host, port = endpoint
+        try:
+            # resolved once here, so sendto never looks a host name up again
+            info = socket.getaddrinfo(host, port, socket.AF_INET, socket.SOCK_DGRAM)
+        except socket.gaierror as exc:
+            raise ChannelError(f"cannot resolve {host}:{port}: {exc}") from None
         self.endpoint = endpoint
+        self.address = info[0][4]
         self.packet_size = packet_size
         self.timeout = timeout
         self.retries = retries
@@ -300,7 +328,7 @@ class UdpOracle:
         earlier requests and junk until a reply to this one arrives."""
         datagram = encode_request(msg_type, plaintext, self.packet_size)
         for _ in range(self.retries + 1):
-            self.sock.sendto(datagram, self.endpoint)
+            self.sock.sendto(datagram, self.address)
             deadline = time.monotonic() + self.timeout
             while (remaining := deadline - time.monotonic()) > 0:
                 self.sock.settimeout(remaining)

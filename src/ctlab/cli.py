@@ -106,17 +106,22 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.close()
-        print(f"served={server.requests_served} dropped={server.dropped}")
+        print(f"served={server.requests_served} dropped={server.dropped} errors={server.errors}")
     return 0
 
 
 def cmd_collect(args) -> int:
-    with UdpOracle(
-        args.endpoint,
-        packet_size=args.packet_size,
-        timeout=args.timeout,
-        retries=args.retries,
-    ) as oracle:
+    try:
+        oracle = UdpOracle(
+            args.endpoint,
+            packet_size=args.packet_size,
+            timeout=args.timeout,
+            retries=args.retries,
+        )
+    except atk.ChannelError as exc:
+        print(f"collect failed: {exc}", file=sys.stderr)
+        return 1
+    with oracle:
         try:
             profile = atk.collect_profile(oracle, args.samples, Random(args.seed))
         except atk.CollectionError as exc:

@@ -195,7 +195,7 @@ def test_criterion_09_cache_simulator_oracle_equivalence():
             trace: list[tuple[int, int]] = []
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
             cold = CacheState(deep)
-            result = run_encryption(cold, trace, layout)
+            result = run_encryption(cold, layout.resolve(trace), layout)
             lines = {layout.addresses[t, i] >> 6 for t, i in trace}
             assert result.misses == len(lines)
             assert result.hits == len(trace) - len(lines)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ctlab import aes
+from ctlab.cachesim import PACKED_LAYOUT, PARTITIONED_LAYOUT
 from reference_aes import (
     REF_SBOX,
     _add_round_key,
@@ -86,6 +87,19 @@ def test_traced_and_plain_agree():
         rk = aes.expand_key(key)
         trace: list[tuple[int, int]] = []
         assert aes.encrypt(pt, rk, trace=trace) == aes.encrypt(pt, rk)
+
+
+def test_address_trace_is_the_resolved_pair_trace():
+    rng = random.Random(0xADD5)
+    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
+        for _ in range(500):
+            key, pt = rng.randbytes(16), rng.randbytes(16)
+            rk = aes.expand_key(key)
+            pairs: list[tuple[int, int]] = []
+            addresses: list[int] = []
+            ct = aes.encrypt(pt, rk, aes.TTABLES, pairs)
+            assert aes.encrypt(pt, rk, aes.TTABLES, addresses, layout.rows) == ct
+            assert addresses == layout.resolve(pairs)
 
 
 def test_trace_shape_and_table_sequence():

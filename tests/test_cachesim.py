@@ -49,6 +49,9 @@ def test_element_address():
         assert layout.addresses == {
             (t, i): layout.bases[t] + 4 * i for t in range(5) for i in range(256)
         }
+        assert layout.rows == tuple(
+            tuple(layout.bases[t] + 4 * i for i in range(256)) for t in range(5)
+        )
 
 
 def test_partitioned_set_ranges_disjoint_te0_to_te3():
@@ -122,8 +125,8 @@ def test_more_ways_or_sets_never_hurt():
             (CacheConfig(64, 16, 2), CacheConfig(64, 32, 2)),
             (CacheConfig(4, 64, 1), CacheConfig(4, 128, 1)),
         ]:
-            small = run_encryption(CacheState(base_cfg), trace, layout)
-            big = run_encryption(CacheState(grown_cfg), trace, layout)
+            small = run_encryption(CacheState(base_cfg), layout.resolve(trace), layout)
+            big = run_encryption(CacheState(grown_cfg), layout.resolve(trace), layout)
             assert big.misses <= small.misses
 
 
@@ -135,7 +138,7 @@ def test_cold_misses_equal_distinct_lines():
             key, pt = rng.randbytes(16), rng.randbytes(16)
             trace: list[tuple[int, int]] = []
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
-            res = run_encryption(CacheState(cfg), trace, layout)
+            res = run_encryption(CacheState(cfg), layout.resolve(trace), layout)
             lines = {
                 layout.addresses[t, i] // cfg.line_size for t, i in trace
             }
@@ -148,8 +151,9 @@ def test_second_run_all_hits_when_capacity_fits():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
-    run_encryption(st, trace, PACKED_LAYOUT)
-    again = run_encryption(st, trace, PACKED_LAYOUT)
+    addresses = PACKED_LAYOUT.resolve(trace)
+    run_encryption(st, addresses, PACKED_LAYOUT)
+    again = run_encryption(st, addresses, PACKED_LAYOUT)
     assert again.misses == 0
 
 
@@ -158,8 +162,9 @@ def test_cold_flush_resets_each_run():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
-    first = run_encryption(st, trace, PACKED_LAYOUT)
-    second = run_encryption(st, trace, PACKED_LAYOUT)
+    addresses = PACKED_LAYOUT.resolve(trace)
+    first = run_encryption(st, addresses, PACKED_LAYOUT)
+    second = run_encryption(st, addresses, PACKED_LAYOUT)
     assert first.misses == second.misses > 0
 
 
@@ -168,17 +173,34 @@ def test_cycle_arithmetic_exact():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(b"\x01" * 16, aes.expand_key(b"\x02" * 16), trace=trace)
-    res = run_encryption(st, trace, PACKED_LAYOUT, DisturbanceReport(extra_cycles=123))
+    res = run_encryption(
+        st, PACKED_LAYOUT.resolve(trace), PACKED_LAYOUT, DisturbanceReport(extra_cycles=123)
+    )
     assert res.cycles == res.hits * 2 + res.misses * 50 + 123
     assert res.accesses == 160
 
 
 def test_trace_entry_validation():
+    with pytest.raises(LayoutError):
+        PACKED_LAYOUT.resolve([(7, 0)])
+    with pytest.raises(LayoutError):
+        PACKED_LAYOUT.resolve([(0, 300)])
+    # a countermeasure access outside the tables fails before any cache access
     st = CacheState(CacheConfig())
     with pytest.raises(LayoutError):
-        run_encryption(st, [(7, 0)], PACKED_LAYOUT)
+        run_encryption(st, [], PACKED_LAYOUT, DisturbanceReport(extra_accesses=[(0, 300)] * 5))
+    assert st.accesses == 0
+
+
+def test_replay_rejects_a_disturbance_layout_it_was_not_given():
+    trace: list[tuple[int, int]] = []
+    aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
+    report = DisturbanceReport(layout=PARTITIONED_LAYOUT)
+    st = CacheState(CacheConfig())
     with pytest.raises(LayoutError):
-        run_encryption(st, [(0, 300)], PACKED_LAYOUT)
+        run_encryption(st, PACKED_LAYOUT.resolve(trace), PACKED_LAYOUT, report)
+    res = run_encryption(st, PARTITIONED_LAYOUT.resolve(trace), PARTITIONED_LAYOUT, report)
+    assert res.accesses == 160
 
 
 def test_interleave_positions():

@@ -125,7 +125,10 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
                 scratch = bare_cache.access_all(backend.scratch_addrs)
                 trace: list[tuple[int, int]] = []
                 aes.encrypt(pt, rk, trace=trace)
-                want = run_encryption(bare_cache, trace, PACKED_LAYOUT, disturbance).cycles
+                layout = disturbance.layout or PACKED_LAYOUT
+                want = run_encryption(
+                    bare_cache, layout.resolve(trace), layout, disturbance
+                ).cycles
                 if cfg.timing_scope == "whole_handler":
                     want += parse.cycles + scratch.cycles
                 assert got == want, (name, kind)
@@ -211,6 +214,58 @@ def test_server_survives_malformed_datagrams():
     finally:
         server.close()
         thread.join(timeout=2)
+
+
+class _FailingOnce:
+    """Wraps a backend (or socket); the named method raises on its first call."""
+
+    def __init__(self, inner, method: str, error: Exception) -> None:
+        self.inner, self.method, self.error = inner, method, error
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name != self.method or self.error is None:
+            return attr
+
+        def fail_once(*args):
+            error, self.error = self.error, None
+            raise error
+        return fail_once
+
+
+def test_server_survives_a_failing_request():
+    cfg = _cfg(scratch_lines=8)
+    server, thread = ch.start_server_thread(cfg)
+    server.backend = _FailingOnce(server.backend, "handle", RuntimeError("boom"))
+    mirror = ch.SimulatedBackend(cfg)
+    try:
+        with ch.UdpOracle(server.address, timeout=0.2, retries=0) as oracle:
+            with pytest.raises(ch.ChannelTimeout):
+                oracle(bytes(16))
+            pt = bytes(range(16))
+            assert oracle(pt) == mirror.handle(pt)[0]
+    finally:
+        server.close()
+        thread.join(timeout=2)
+    assert not thread.is_alive()
+    assert (server.requests_served, server.errors) == (1, 1)
+
+
+@pytest.mark.parametrize("method, lost", [("recvfrom", 0), ("sendto", 1)])
+def test_server_keeps_serving_after_a_socket_error(method, lost):
+    server = ch.TimingServer(_cfg(), port=0)
+    server.sock = _FailingOnce(server.sock, method, OSError("transient"))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with ch.UdpOracle(server.address, timeout=0.5, retries=1) as oracle:
+            assert oracle(bytes(16)) > 0
+            assert oracle.timeouts == lost
+    finally:
+        server.close()
+        thread.join(timeout=2)
+    assert not thread.is_alive()  # an error after close() still ends the loop
+    assert (server.requests_served, server.errors) == (1, 1)
 
 
 def test_key_never_on_the_wire():

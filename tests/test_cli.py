@@ -114,6 +114,21 @@ def test_collect_failure_saves_partial_profile_and_exits_nonzero(tmp_path, capsy
     assert atk.load_profile(out).total_samples == 0
 
 
+def test_unresolvable_endpoint_fails_in_one_line(tmp_path, capsys, monkeypatch):
+    def no_such_host(*args, **kwargs):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(socket, "getaddrinfo", no_such_host)
+    out = tmp_path / "x.csv"
+    rc = main(["collect", "--endpoint", "nosuchhost.invalid:1", "--samples", "1",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("collect failed: ")
+    assert "nosuchhost.invalid" in err[0]
+    assert not out.exists()
+
+
 def test_collect_and_correlate_verbs(tmp_path, config_file):
     cfg = hn.config_from_mapping(hn.load_config_file(config_file))
     servers = []
@@ -234,3 +249,5 @@ def test_serve_subprocess_roundtrip(tmp_path, config_file):
     finally:
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=5) == 0
+    # the served=N dropped=M prefix is what scripts parse; new counters follow it
+    assert proc.stdout.read().splitlines()[-1] == "served=1 dropped=0 errors=0"
