@@ -12,9 +12,15 @@ encryption always produces exactly 160 entries (16 lookups per round for
 rounds 1..9 on Te0..Te3, then 16 final-round Te4 lookups). The default
 record, PAIRS, yields (table_id, index) pairs; the simulator passes a
 layout's rows instead and so records byte addresses directly.
+
+expand_batch and encrypt_batch run the same cipher over numpy for key
+search (many keys, one plaintext, no trace). Every S-box word, in the key
+schedule and the final round, is read from Te4 through byte-lane masks.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 TE0, TE1, TE2, TE3, TE4 = 0, 1, 2, 3, 4
 TABLE_IDS = (TE0, TE1, TE2, TE3, TE4)
@@ -87,23 +93,22 @@ def _check16(data: bytes, what: str) -> None:
         raise ValueError(f"{what} must be exactly 16 bytes")
 
 
-def _subword(w: int) -> int:
-    return (
-        (SBOX[(w >> 24) & 0xFF] << 24)
-        | (SBOX[(w >> 16) & 0xFF] << 16)
-        | (SBOX[(w >> 8) & 0xFF] << 8)
-        | SBOX[w & 0xFF]
-    )
+def _sbox_word(te4, a, b, c, d):
+    """S[a], S[b], S[c], S[d] packed high lane first, read from Te4 through
+    byte-lane masks; ints with Te4 as a tuple, or index arrays with Te4 as an array."""
+    return (te4[a] & 0xFF000000) ^ (te4[b] & 0x00FF0000) ^ (te4[c] & 0x0000FF00) ^ (te4[d] & 0xFF)
 
 
 def expand_key(key: bytes) -> list[int]:
     """Expand a 16-byte key into the 44-word round-key schedule."""
     _check16(key, "key")
+    te4 = TTABLES[TE4]
     w = [int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4)]
     for i in range(4, 44):
         t = w[i - 1]
-        if i % 4 == 0:
-            t = _subword(((t << 8) | (t >> 24)) & 0xFFFFFFFF) ^ (RCON[i // 4 - 1] << 24)
+        if i % 4 == 0:  # SubWord(RotWord(t)) ^ Rcon
+            t = _sbox_word(te4, (t >> 16) & 0xFF, (t >> 8) & 0xFF, t & 0xFF, t >> 24)
+            t ^= RCON[i // 4 - 1] << 24
         w.append(w[i - 4] ^ t)
     return w
 
@@ -111,7 +116,6 @@ def expand_key(key: bytes) -> list[int]:
 def encrypt(
     plaintext: bytes,
     round_keys: list[int],
-    tables: tuple[tuple[int, ...], ...] = TTABLES,
     trace: list | None = None,
     record: tuple[tuple, ...] = PAIRS,
 ) -> bytes:
@@ -127,7 +131,7 @@ def encrypt(
     _check16(plaintext, "plaintext")
     if len(round_keys) != 44:
         raise ValueError("round_keys must hold 44 words")
-    te0, te1, te2, te3, te4 = tables
+    te0, te1, te2, te3, te4 = TTABLES
     rk = round_keys
     if trace is not None:
         r0, r1, r2, r3, r4 = record
@@ -161,13 +165,50 @@ def encrypt(
             r4[c0], r4[c1], r4[c2], r4[c3],
             r4[d0], r4[d1], r4[d2], r4[d3],
         )
-    s0 = ((te4[a0] & 0xFF000000) ^ (te4[a1] & 0x00FF0000)
-          ^ (te4[a2] & 0x0000FF00) ^ (te4[a3] & 0xFF) ^ rk[40])
-    s1 = ((te4[b0] & 0xFF000000) ^ (te4[b1] & 0x00FF0000)
-          ^ (te4[b2] & 0x0000FF00) ^ (te4[b3] & 0xFF) ^ rk[41])
-    s2 = ((te4[c0] & 0xFF000000) ^ (te4[c1] & 0x00FF0000)
-          ^ (te4[c2] & 0x0000FF00) ^ (te4[c3] & 0xFF) ^ rk[42])
-    s3 = ((te4[d0] & 0xFF000000) ^ (te4[d1] & 0x00FF0000)
-          ^ (te4[d2] & 0x0000FF00) ^ (te4[d3] & 0xFF) ^ rk[43])
+    s0 = _sbox_word(te4, a0, a1, a2, a3) ^ rk[40]
+    s1 = _sbox_word(te4, b0, b1, b2, b3) ^ rk[41]
+    s2 = _sbox_word(te4, c0, c1, c2, c3) ^ rk[42]
+    s3 = _sbox_word(te4, d0, d1, d2, d3) ^ rk[43]
     return ((s0 << 96) | (s1 << 64) | (s2 << 32) | s3).to_bytes(16, "big")
 
+
+# The same five tables as one (5, 256) array, for the batch kernel.
+_TABLES = np.array(TTABLES, dtype=np.uint32)
+
+
+def expand_batch(keys: np.ndarray) -> np.ndarray:
+    """Vectorized key schedule: (n, 16) uint8 keys -> (n, 44) uint32 words,
+    the transposed view of a column-major (44, n) schedule."""
+    if keys.ndim != 2 or keys.shape[1] != 16 or keys.dtype != np.uint8:
+        raise ValueError("keys must be an (n, 16) uint8 array")
+    te4 = _TABLES[TE4]
+    w = np.empty((44, len(keys)), dtype=np.uint32)
+    w[:4] = np.ascontiguousarray(keys).view(">u4").T
+    for i in range(4, 44):
+        t = w[i - 1]
+        if i % 4 == 0:
+            t = _sbox_word(te4, (t >> 16) & 0xFF, (t >> 8) & 0xFF, t & 0xFF, t >> 24)
+            t ^= RCON[i // 4 - 1] << 24
+        np.bitwise_xor(w[i - 4], t, out=w[i])
+    return w.T
+
+
+def encrypt_batch(plaintext: bytes, schedule: np.ndarray) -> np.ndarray:
+    """Encrypt one plaintext under many (n, 44) schedules; returns (n, 4)
+    uint32 ciphertext words."""
+    if len(plaintext) != 16:
+        raise ValueError("plaintext must be 16 bytes")
+    te0, te1, te2, te3, te4 = _TABLES
+    rk = schedule.T
+    s = [rk[c] ^ int.from_bytes(plaintext[4 * c : 4 * c + 4], "big") for c in range(4)]
+    for k in range(4, 40, 4):
+        s = [
+            te0[s[c] >> 24] ^ te1[(s[(c + 1) & 3] >> 16) & 0xFF]
+            ^ te2[(s[(c + 2) & 3] >> 8) & 0xFF] ^ te3[s[(c + 3) & 3] & 0xFF] ^ rk[k + c]
+            for c in range(4)
+        ]
+    return np.stack([
+        _sbox_word(te4, s[c] >> 24, (s[(c + 1) & 3] >> 16) & 0xFF,
+                   (s[(c + 2) & 3] >> 8) & 0xFF, s[(c + 3) & 3] & 0xFF) ^ rk[40 + c]
+        for c in range(4)
+    ], axis=1)

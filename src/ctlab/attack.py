@@ -195,8 +195,8 @@ def candidate_sets(correlation: np.ndarray, spread: float = 1.0) -> CandidateRep
     the per-position maximum."""
     if correlation.shape != (POSITIONS, VALUES):
         raise ProfileError("correlation matrix must be 16x256")
-    if spread < 0:
-        raise ValueError("spread must be non-negative")
+    if not 0 <= spread < math.inf:
+        raise ValueError("spread must be finite and non-negative")
     values: list[tuple[int, ...]] = []
     scores: list[tuple[float, ...]] = []
     for j in range(POSITIONS):

@@ -10,8 +10,9 @@ under a layout (aes.encrypt records them from layout.rows), optionally
 interleaving countermeasure accesses, and charges hit_cycles/miss_cycles
 per access plus any flat disturbance cycles. MemoryLayout.resolve is the
 one (table, index) -> address mapping, used for countermeasure accesses
-and for pair traces. PACKED_LAYOUT and PARTITIONED_LAYOUT are the only
-two layouts in use.
+and for pair traces; it resolves each tuple once, so a fixed prefetch
+run costs one lookup per request. PACKED_LAYOUT and PARTITIONED_LAYOUT
+are the only two layouts in use.
 
 CacheState.walk replays a fixed address sequence (a WorkingSet)
 incrementally, and exactly. Under LRU, replaying a sequence on the state
@@ -74,6 +75,8 @@ class MemoryLayout:
     rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # (table, index) -> byte address, for every valid trace entry
     addresses: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    # id(entries) -> (entries, addresses) for up to 64 tuples resolve has seen
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         regions = sorted((b, b + TABLE_BYTES) for b in self.bases)
@@ -88,13 +91,26 @@ class MemoryLayout:
         addresses = {(t, i): rows[t][i] for t in TABLE_IDS for i in range(256)}
         object.__setattr__(self, "addresses", addresses)
 
-    def resolve(self, entries: Sequence[tuple[int, int]]) -> list[int]:
-        """Byte addresses of (table, index) entries; LayoutError on any outside the tables."""
+    def resolve(self, entries: Sequence[tuple[int, int]]) -> Sequence[int]:
+        """Byte addresses of (table, index) entries; LayoutError on any outside the tables.
+
+        A tuple's addresses are kept next to the tuple, whose id keys them:
+        prefetch passes one of its 16 fixed runs on every request.
+        """
+        memo = self._resolved
+        if type(entries) is tuple:
+            kept = memo.get(id(entries))
+            if kept is not None:
+                return kept[1]
         table = self.addresses
         try:
-            return [table[entry] for entry in entries]
+            addresses = [table[entry] for entry in entries]
         except KeyError as exc:
             raise LayoutError(f"trace entry {exc.args[0]} outside table regions") from None
+        if type(entries) is tuple and len(memo) < 64:
+            addresses = tuple(addresses)
+            memo[id(entries)] = (entries, addresses)
+        return addresses
 
 
 PACKED_BASE = 0x40000

@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .aes import TTABLES, encrypt, expand_key
+from .aes import encrypt, expand_key
 from .attack import ChannelError
 from .cachesim import PACKED_LAYOUT, CacheConfig, CacheState, WorkingSet, run_encryption
 from .countermeasures import Kind, apply, execute_disturbance, make_state
@@ -177,7 +177,7 @@ class SimulatedBackend:
         walk = self.cache.walk(self.working_set)
         layout = disturbance.layout or PACKED_LAYOUT
         trace: list[int] = []
-        ct = encrypt(plaintext, self.round_keys, TTABLES, trace, layout.rows)
+        ct = encrypt(plaintext, self.round_keys, trace, layout.rows)
         sim = run_encryption(self.cache, trace, layout, disturbance)
         cycles = sim.cycles
         if self.config.timing_scope == "whole_handler":

@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_sizes, default=[10**6, 3 * 10**6, 10**7],
                    metavar="N,N,...", help="key-space sizes (floats like 1e6 accepted)")
     p.add_argument("--threads", type=_integer(1), default=1)
-    p.add_argument("--fit-min", type=float, default=10**6,
+    p.add_argument("--fit-min", type=_number(0), default=10**6,
                    help="smallest size included in the rate fit")
     p.set_defaults(func=cmd_bench_rate)
 

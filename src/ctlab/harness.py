@@ -103,8 +103,8 @@ class ExperimentConfig:
             raise ValueError("sample budgets must be positive")
         if self.runs < 1:
             raise ValueError("runs must be positive")
-        if self.spread < 0:
-            raise ValueError("spread must be non-negative")
+        if not 0 <= self.spread < math.inf:
+            raise ValueError("spread must be finite and non-negative")
         if self.search_limit < 0 or self.search_threads < 1:
             raise ValueError("bad search settings")
 

@@ -1,10 +1,10 @@
 """Brute-force search over reduced key spaces, with rate benchmarking.
 
 Candidate keys are enumerated in a canonical mixed-radix order (position
-0 most significant, best-scored value first) and tested in bulk with a
-vectorized encryption kernel.  Any key that survives the bulk screen is
-re-verified pair-by-pair with the scalar cipher before being accepted,
-so the two implementations cross-check each other.
+0 most significant, best-scored value first) and tested in bulk with
+aes.expand_batch and aes.encrypt_batch.  Any key that survives the bulk
+screen is re-verified pair-by-pair with the scalar cipher before being
+accepted, so the two kernels cross-check each other.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from itertools import islice
 import numpy as np
 
 from . import aes
+from .aes import encrypt_batch, expand_batch
 from .attack import CandidateReport
 
 log = logging.getLogger("ctlab.keysearch")
@@ -60,69 +61,6 @@ class SearchOutcome:
     found: bytes | None
     keys_tested: int
     elapsed: float
-
-
-_SBOX32 = np.array(aes.SBOX, dtype=np.uint32)
-_TE = tuple(np.array(aes.TTABLES[t], dtype=np.uint32) for t in range(4))
-_RCON32 = np.array([r << 24 for r in aes.RCON], dtype=np.uint32)
-_B8 = np.uint32(8)
-_B16 = np.uint32(16)
-_B24 = np.uint32(24)
-_MASK = np.uint32(0xFF)
-
-
-def expand_batch(keys: np.ndarray) -> np.ndarray:
-    """Vectorized key schedule: (n, 16) uint8 keys -> (n, 44) uint32 words."""
-    if keys.ndim != 2 or keys.shape[1] != 16 or keys.dtype != np.uint8:
-        raise ValueError("keys must be an (n, 16) uint8 array")
-    k = keys.astype(np.uint32)
-    w = np.empty((keys.shape[0], 44), dtype=np.uint32)
-    for i in range(4):
-        w[:, i] = (k[:, 4 * i] << _B24) | (k[:, 4 * i + 1] << _B16) | (
-            k[:, 4 * i + 2] << _B8
-        ) | k[:, 4 * i + 3]
-    for i in range(4, 44):
-        t = w[:, i - 1]
-        if i % 4 == 0:
-            t = (t << _B8) | (t >> _B24)
-            t = (
-                (_SBOX32[(t >> _B24) & _MASK] << _B24)
-                | (_SBOX32[(t >> _B16) & _MASK] << _B16)
-                | (_SBOX32[(t >> _B8) & _MASK] << _B8)
-                | _SBOX32[t & _MASK]
-            )
-            t = t ^ _RCON32[i // 4 - 1]
-        w[:, i] = w[:, i - 4] ^ t
-    return w
-
-
-def encrypt_batch(plaintext: bytes, schedule: np.ndarray) -> np.ndarray:
-    """Encrypt one plaintext under many schedules; returns (n, 4) uint32
-    ciphertext words."""
-    if len(plaintext) != 16:
-        raise ValueError("plaintext must be 16 bytes")
-    p = [int.from_bytes(plaintext[4 * i : 4 * i + 4], "big") for i in range(4)]
-    s = [np.uint32(p[i]) ^ schedule[:, i] for i in range(4)]
-    te0, te1, te2, te3 = _TE
-    for rnd in range(1, 10):
-        base = 4 * rnd
-        s = [
-            te0[s[i] >> _B24]
-            ^ te1[(s[(i + 1) & 3] >> _B16) & _MASK]
-            ^ te2[(s[(i + 2) & 3] >> _B8) & _MASK]
-            ^ te3[s[(i + 3) & 3] & _MASK]
-            ^ schedule[:, base + i]
-            for i in range(4)
-        ]
-    out = np.empty((schedule.shape[0], 4), dtype=np.uint32)
-    for i in range(4):
-        out[:, i] = (
-            (_SBOX32[s[i] >> _B24] << _B24)
-            | (_SBOX32[(s[(i + 1) & 3] >> _B16) & _MASK] << _B16)
-            | (_SBOX32[(s[(i + 2) & 3] >> _B8) & _MASK] << _B8)
-            | _SBOX32[s[(i + 3) & 3] & _MASK]
-        ) ^ schedule[:, 40 + i]
-    return out
 
 
 def _chunk_keys(

@@ -97,8 +97,8 @@ def test_address_trace_is_the_resolved_pair_trace():
             rk = aes.expand_key(key)
             pairs: list[tuple[int, int]] = []
             addresses: list[int] = []
-            ct = aes.encrypt(pt, rk, aes.TTABLES, pairs)
-            assert aes.encrypt(pt, rk, aes.TTABLES, addresses, layout.rows) == ct
+            ct = aes.encrypt(pt, rk, pairs)
+            assert aes.encrypt(pt, rk, addresses, layout.rows) == ct
             assert addresses == layout.resolve(pairs)
 
 

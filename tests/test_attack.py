@@ -256,8 +256,9 @@ def test_candidate_sets_threshold_and_order():
     assert report.keyspace_size == 1 * 2 * 256**14
     assert report.missing_bytes(bytes([5, 9] + [0] * 14)) == 0
     assert report.missing_bytes(bytes([6, 9] + [0] * 14)) == 1
-    with pytest.raises(ValueError):
-        atk.candidate_sets(corr, spread=-0.5)
+    for spread in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            atk.candidate_sets(corr, spread=spread)
     with pytest.raises(atk.ProfileError):
         atk.candidate_sets(np.zeros((4, 4)))
 

@@ -19,7 +19,7 @@ from ctlab.cachesim import (
     interleave_accesses,
     run_encryption,
 )
-from ctlab.countermeasures import DisturbanceReport
+from ctlab.countermeasures import PREFETCH_RUNS, DisturbanceReport
 from cache_oracle import RecencyOracle
 
 
@@ -190,6 +190,15 @@ def test_trace_entry_validation():
     with pytest.raises(LayoutError):
         run_encryption(st, [], PACKED_LAYOUT, DisturbanceReport(extra_accesses=[(0, 300)] * 5))
     assert st.accesses == 0
+
+
+def test_resolve_keeps_each_tuple_per_layout():
+    for _ in range(2):  # the second pass reads the kept addresses
+        for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
+            for run in PREFETCH_RUNS:
+                assert list(layout.resolve(run)) == [layout.addresses[e] for e in run]
+        with pytest.raises(LayoutError):
+            PACKED_LAYOUT.resolve(((0, 1), (0, 300)))
 
 
 def test_replay_rejects_a_disturbance_layout_it_was_not_given():

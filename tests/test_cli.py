@@ -80,11 +80,12 @@ def test_parser_rejects_bad_values():
      "--study-key", "00" * 16, "--retention", "nan"],
     ["bench-rate", "--sizes", "0"],
     ["bench-rate", "--sizes", "1e4,-5"],
+    ["bench-rate", "--fit-min", "nan"],
 ], ids=["retries", "samples", "packet-size", "search-threads", "chunk", "bench-threads", "not-int",
         "timeout-zero", "timeout-negative", "timeout-nan", "serve-port-high", "serve-port-negative",
         "endpoint-port-high", "endpoint-port-negative", "endpoint-port-zero",
         "study-key-not-hex", "study-key-short",
-        "retention-negative", "retention-nan", "sizes-zero", "sizes-negative"])
+        "retention-negative", "retention-nan", "sizes-zero", "sizes-negative", "fit-min-nan"])
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)

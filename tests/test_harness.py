@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
@@ -200,7 +201,8 @@ def test_experiment_config_validation():
         hn.ExperimentConfig(study_key=b"x", attack_key=ATTACK_KEY)
     with pytest.raises(ValueError):
         _experiment_config(runs=0)
-    with pytest.raises(ValueError):
-        _experiment_config(spread=-1.0)
+    for spread in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _experiment_config(spread=spread)
     with pytest.raises(ValueError):
         _experiment_config(samples_study=0)

@@ -20,13 +20,26 @@ def test_batch_kernel_matches_scalar_cipher():
         b"".join(rng.randbytes(16) for _ in range(300)), dtype=np.uint8
     ).reshape(300, 16)
     schedules = ks.expand_batch(keys)
+    scalar = [aes.expand_key(keys[row].tobytes()) for row in range(300)]
+    assert schedules.shape == (300, 44) and schedules.dtype == np.uint32
+    assert schedules.tolist() == scalar
     for _ in range(3):
         pt = rng.randbytes(16)
         words = ks.encrypt_batch(pt, schedules)
-        for row in (0, 1, 57, 299):
-            expected = aes.encrypt(pt, aes.expand_key(keys[row].tobytes()))
+        assert words.shape == (300, 4) and words.dtype == np.uint32
+        for row in range(300):
+            expected = aes.encrypt(pt, scalar[row])
             got = b"".join(int(words[row][i]).to_bytes(4, "big") for i in range(4))
             assert got == expected
+    # FIPS-197 Appendix C.1
+    fips_key = np.frombuffer(bytes(range(16)), dtype=np.uint8).reshape(1, 16)
+    words = ks.encrypt_batch(bytes.fromhex("00112233445566778899aabbccddeeff"),
+                             ks.expand_batch(fips_key))
+    assert words.astype(">u4").tobytes() == bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+    with pytest.raises(ValueError):
+        ks.expand_batch(keys.astype(np.uint32))
+    with pytest.raises(ValueError):
+        ks.expand_batch(keys[:, :15])
 
 
 def _report_for(values_per_position) -> CandidateReport:
