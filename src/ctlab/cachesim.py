@@ -5,14 +5,14 @@ line_size; its set is block mod num_sets. Replacement state lives per
 set as a most-recently-used-last list of block numbers, so equal blocks
 are equal (tag, set) pairs and no separate tag math is needed.
 
-run_encryption replays one encryption's table addresses, already placed
-under a layout (aes.encrypt records them from layout.rows), optionally
-interleaving countermeasure accesses, and charges hit_cycles/miss_cycles
-per access plus any flat disturbance cycles. MemoryLayout.resolve is the
-one (table, index) -> address mapping, used for countermeasure accesses
-and for pair traces; it resolves each tuple once, so a fixed prefetch
-run costs one lookup per request. PACKED_LAYOUT and PARTITIONED_LAYOUT
-are the only two layouts in use.
+run_encryption replays one encryption's table byte addresses (aes.encrypt
+records them from a layout's rows), optionally interleaving extra
+addresses, and charges hit_cycles/miss_cycles per access plus any flat
+extra cycles. It knows nothing of layouts: whoever placed the addresses
+also places the extra ones. MemoryLayout.resolve is the one
+(table, index) -> address mapping; it resolves each tuple once, so a
+fixed prefetch run costs one lookup per request. PACKED_LAYOUT and
+PARTITIONED_LAYOUT are the only two layouts in use.
 
 CacheState.walk replays a fixed address sequence (a WorkingSet)
 incrementally, and exactly. Under LRU, replaying a sequence on the state
@@ -29,7 +29,7 @@ invalidates the last walk.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .aes import TABLE_BYTES, TABLE_IDS
 
@@ -62,7 +62,6 @@ class CacheConfig:
             raise ValueError("cycle costs must be non-negative")
 
 
-@dataclass(frozen=True)
 class MemoryLayout:
     """Byte base addresses for Te0..Te4; each table occupies 1024 bytes.
 
@@ -71,25 +70,20 @@ class MemoryLayout:
     entries to the same addresses.
     """
 
-    bases: tuple[int, int, int, int, int]
-    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    # (table, index) -> byte address, for every valid trace entry
-    addresses: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
-    # id(entries) -> (entries, addresses) for up to 64 tuples resolve has seen
-    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        regions = sorted((b, b + TABLE_BYTES) for b in self.bases)
+    def __init__(self, bases: tuple[int, int, int, int, int]) -> None:
+        regions = sorted((b, b + TABLE_BYTES) for b in bases)
         for b, _ in regions:
             if b < 0:
                 raise LayoutError("table base addresses must be non-negative")
         for (_, end), (nxt, _) in zip(regions, regions[1:]):
             if nxt < end:
                 raise LayoutError("table regions overlap")
-        rows = tuple(tuple(self.bases[t] + 4 * i for i in range(256)) for t in TABLE_IDS)
-        object.__setattr__(self, "rows", rows)
-        addresses = {(t, i): rows[t][i] for t in TABLE_IDS for i in range(256)}
-        object.__setattr__(self, "addresses", addresses)
+        self.bases = tuple(bases)
+        self.rows = tuple(tuple(b + 4 * i for i in range(256)) for b in self.bases)
+        # (table, index) -> byte address, for every valid trace entry
+        self.addresses = {(t, i): self.rows[t][i] for t in TABLE_IDS for i in range(256)}
+        # id(entries) -> (entries, addresses) for up to 64 tuples resolve has seen
+        self._resolved: dict[int, tuple] = {}
 
     def resolve(self, entries: Sequence[tuple[int, int]]) -> Sequence[int]:
         """Byte addresses of (table, index) entries; LayoutError on any outside the tables.
@@ -257,7 +251,7 @@ def interleave_accesses(trace: Sequence[int], extra: Sequence[int]) -> Sequence[
     if not extra:
         return trace
     if len(extra) % 5:
-        raise ValueError("disturbance fragment must split across 5 injection points")
+        raise ValueError("extra accesses must split across 5 injection points")
     step = len(extra) // 5
     merged: list[int] = []
     for i in range(5):
@@ -269,31 +263,18 @@ def interleave_accesses(trace: Sequence[int], extra: Sequence[int]) -> Sequence[
 def run_encryption(
     state: CacheState,
     addresses: Sequence[int],
-    layout: MemoryLayout,
-    disturbance=None,
+    extra: Sequence[int] = (),
+    extra_cycles: int = 0,
 ) -> SimResult:
     """Replay one encryption's table addresses through the cache.
 
-    addresses are the encryption's 160 lookups already placed under
-    layout: recorded by aes.encrypt from layout.rows, or layout.resolve
-    of a (table, index) trace. disturbance is any object carrying
-    extra_accesses, extra_cycles and layout (or None); its
-    (table, index) extra_accesses are resolved under layout and
-    interleaved, and its layout, when set, must be layout itself, since
-    the addresses were placed before the replay. Flushes first when the
-    config says each encryption starts cold.
-    cycles = hits*hit + misses*miss + extras.
+    addresses are the encryption's 160 lookups, already placed; extra
+    are countermeasure addresses, interleaved by interleave_accesses.
+    Flushes first when the config says each encryption starts cold.
+    cycles = hits*hit + misses*miss + extra_cycles.
     """
-    cfg = state.config
-    if cfg.cold_flush_per_encryption:
+    if state.config.cold_flush_per_encryption:
         state.flush()
-    extra = 0
-    if disturbance is not None:
-        if disturbance.layout not in (None, layout):
-            raise LayoutError("disturbance layout differs from the replay layout")
-        if disturbance.extra_accesses:
-            addresses = interleave_accesses(addresses, layout.resolve(disturbance.extra_accesses))
-        extra = disturbance.extra_cycles
-    res = state.access_all(addresses)
-    res.cycles += extra
+    res = state.access_all(interleave_accesses(addresses, extra))
+    res.cycles += extra_cycles
     return res

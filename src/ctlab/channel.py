@@ -10,11 +10,12 @@ logged; the server never dies on malformed input.
 
 Two interchangeable backends answer timing requests. The native backend
 times real encryptions with the highest-resolution monotonic counter
-available (perf_counter_ns). The simulated backend traces the encryption
-as byte addresses under the packed table layout (or the countermeasure's
-own layout), recorded by aes.encrypt from the layout's rows, replays
-them through the deterministic cache model with run_encryption, and
-reports exactly the SimResult cycles under encrypt_only scope.
+available (perf_counter_ns). The simulated backend fixes its table
+layout when it is built (countermeasures.table_layout), traces each
+encryption as byte addresses from that layout's rows, resolves the
+countermeasure's accesses under the same layout, replays both through
+the deterministic cache model with run_encryption, and reports exactly
+the SimResult cycles under encrypt_only scope.
 
 The simulated handler also walks its own working set through the same
 cache on every request: the datagram buffer (packet_size bytes at a
@@ -45,8 +46,8 @@ from functools import lru_cache
 
 from .aes import encrypt, expand_key
 from .attack import ChannelError
-from .cachesim import PACKED_LAYOUT, CacheConfig, CacheState, WorkingSet, run_encryption
-from .countermeasures import Kind, apply, execute_disturbance, make_state
+from .cachesim import CacheConfig, CacheState, WorkingSet, run_encryption
+from .countermeasures import Kind, apply, execute_disturbance, make_state, table_layout
 
 log = logging.getLogger("ctlab.channel")
 
@@ -137,6 +138,8 @@ class ChannelConfig:
             raise ValueError("packet_size below header length")
         if self.scratch_lines < 0 or self.scratch_lines > self.cache.num_sets:
             raise ValueError("scratch_lines must be within 0..num_sets")
+        if SCRATCH_BASE + self.cache.line_size * self.cache.num_sets > PARSE_BASE:
+            raise ValueError("cache period too large for the fixed handler address map")
 
 
 @lru_cache(maxsize=64)
@@ -145,8 +148,6 @@ def _handler_working_set(
 ) -> tuple[tuple[int, ...], tuple[int, ...], WorkingSet]:
     """Parse-buffer lines, scratch lines and their walk, built once per geometry."""
     line = cache.line_size
-    if SCRATCH_BASE + line * cache.num_sets > PARSE_BASE:
-        raise ValueError("cache period too large for the fixed handler address map")
     n_parse = -(-packet_size // line)
     parse_addrs = [PARSE_BASE + i * line for i in range(n_parse)]
     scatter = random.Random(scratch_seed)
@@ -163,6 +164,7 @@ class SimulatedBackend:
         self.round_keys = expand_key(config.key)
         self.cache = CacheState(config.cache)
         self.kind = config.countermeasure
+        self.layout = table_layout(config.countermeasure)
         self.cm_state = make_state(config.countermeasure)
         self.prng = random.Random(config.prng_seed)
         parse, scratch, self.working_set = _handler_working_set(
@@ -175,10 +177,10 @@ class SimulatedBackend:
         """Serve one timing request; returns (cycles, ciphertext)."""
         disturbance = apply(self.kind, self.cm_state, self.prng)
         walk = self.cache.walk(self.working_set)
-        layout = disturbance.layout or PACKED_LAYOUT
         trace: list[int] = []
-        ct = encrypt(plaintext, self.round_keys, trace, layout.rows)
-        sim = run_encryption(self.cache, trace, layout, disturbance)
+        ct = encrypt(plaintext, self.round_keys, trace, self.layout.rows)
+        extra = self.layout.resolve(disturbance.extra_accesses)
+        sim = run_encryption(self.cache, trace, extra, disturbance.extra_cycles)
         cycles = sim.cycles
         if self.config.timing_scope == "whole_handler":
             cycles += walk.cycles

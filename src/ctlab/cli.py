@@ -71,16 +71,24 @@ def _sizes(text: str) -> list[int]:
 
 
 def _load_experiment(path: str, overrides: list[str]) -> harness.ExperimentConfig:
-    mapping = harness.load_config_file(path)
-    for item in overrides:
-        if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        mapping[key.strip()] = value.strip()
     try:
+        mapping = harness.load_config_file(path)
+        for item in overrides:
+            if "=" not in item:
+                raise SystemExit(f"--set expects key=value, got {item!r}")
+            key, value = item.split("=", 1)
+            mapping[key.strip()] = value.strip()
         return harness.config_from_mapping(mapping)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"bad config {path}: {exc}") from None
+
+
+def _read(load, path: str):
+    """load(path), exiting with one line that names path if it cannot be read."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:  # ProfileError is a ValueError
+        raise SystemExit(f"cannot read {path}: {exc}") from None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -134,8 +142,11 @@ def cmd_collect(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    study = atk.signature(atk.load_profile(args.study))
-    attacked = atk.signature(atk.load_profile(args.attack))
+    def signature(path):  # a profile with no samples is as unusable as a missing one
+        return atk.signature(atk.load_profile(path))
+
+    study = _read(signature, args.study)
+    attacked = _read(signature, args.attack)
     corr = atk.correlate(study, args.study_key, attacked)
     report = atk.candidate_sets(corr, args.retention)
     atk.save_candidates(report, args.out)
@@ -147,7 +158,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    report = atk.load_candidates(args.candidates)
+    report = _read(atk.load_candidates, args.candidates)
     outcome = keysearch.brute_force(
         report,
         args.pair,
@@ -205,7 +216,7 @@ def cmd_bench_rate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = harness.parse_report_csv(Path(args.infile).read_text())
+    rows = _read(lambda path: harness.parse_report_csv(Path(path).read_text()), args.infile)
     _write(harness.emit_report(rows, args.format), args.out)
     return 0
 

@@ -1,16 +1,16 @@
 """Timing-attack countermeasures as pure disturbance generators.
 
 Each countermeasure describes what it would add to one encryption:
-flat extra cycles, extra table accesses to interleave, or the table
-layout to replay under instead of the server's packed one. Ciphertexts
-are never touched, so every variant is semantics-preserving by
-construction.
+flat extra cycles or extra table accesses to interleave. Cache
+partitioning instead fixes where a server places its tables, once
+(table_layout). Ciphertexts are never touched, so every variant is
+semantics-preserving by construction.
 
 In native mode the same reports drive real executed code (a busy loop,
 actual table reads) inside the timed window; see execute_disturbance.
 Cache partitioning is simulation-only there: CPython offers no control
 over where list storage lands, so the native variant is a documented
-no-op while the report's layout carries the semantics in the simulator.
+no-op while table_layout carries the semantics in the simulator.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 import enum
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .aes import TTABLES
-from .cachesim import PARTITIONED_LAYOUT, MemoryLayout
+from .cachesim import PACKED_LAYOUT, PARTITIONED_LAYOUT, MemoryLayout
 
 
 class Kind(enum.Enum):
@@ -67,8 +67,7 @@ class PrefetchState:
 @dataclass
 class DisturbanceReport:
     extra_cycles: int = 0
-    extra_accesses: Sequence[tuple[int, int]] = field(default_factory=list)
-    layout: MemoryLayout | None = None
+    extra_accesses: Sequence[tuple[int, int]] = ()
     loop_count: int = 0  # dummy-loop iterations the native path executes
 
 
@@ -128,6 +127,11 @@ def specified_loop_cycles(count: int) -> int:
 _STATE_TYPES = {Kind.SPECIFIED_LOOP: SpecifiedLoopState, Kind.PREFETCH: PrefetchState}
 
 
+def table_layout(kind: Kind) -> MemoryLayout:
+    """Where a server running kind places its tables, for its whole life."""
+    return PARTITIONED_LAYOUT if kind is Kind.CACHE_PARTITION else PACKED_LAYOUT
+
+
 def make_state(kind: Kind):
     """Fresh per-server countermeasure state; None for stateless kinds."""
     state_type = _STATE_TYPES.get(kind)
@@ -145,7 +149,7 @@ def apply(
         raise StateError(f"{kind.value} takes no state, got {type(state).__name__}")
     if expected is not None and not isinstance(state, expected):
         raise StateError(f"{kind.value} requires {expected.__name__}")
-    if kind is Kind.NONE:
+    if kind in (Kind.NONE, Kind.CACHE_PARTITION):
         return DisturbanceReport()
     if kind is Kind.RANDOM_LOOP:
         if prng is None:
@@ -160,8 +164,6 @@ def apply(
         # five windows, one per main-loop iteration
         state.window_start = (state.window_start + 5 * PREFETCH_WINDOW) % 256
         return DisturbanceReport(extra_accesses=run)
-    if kind is Kind.CACHE_PARTITION:
-        return DisturbanceReport(layout=PARTITIONED_LAYOUT)
     raise StateError(f"unknown countermeasure kind {kind!r}")
 
 

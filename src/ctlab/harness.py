@@ -107,6 +107,7 @@ class ExperimentConfig:
             raise ValueError("spread must be finite and non-negative")
         if self.search_limit < 0 or self.search_threads < 1:
             raise ValueError("bad search settings")
+        self.channel_config(self.study_key, 0)  # refuse bad channel settings now
 
     def channel_config(self, key: bytes, run: int, kind: Kind | None = None) -> ChannelConfig:
         prng = None if self.prng_seed is None else self.prng_seed + run

@@ -19,7 +19,7 @@ from ctlab.cachesim import (
     interleave_accesses,
     run_encryption,
 )
-from ctlab.countermeasures import PREFETCH_RUNS, DisturbanceReport
+from ctlab.countermeasures import PREFETCH_RUNS
 from cache_oracle import RecencyOracle
 
 
@@ -125,8 +125,8 @@ def test_more_ways_or_sets_never_hurt():
             (CacheConfig(64, 16, 2), CacheConfig(64, 32, 2)),
             (CacheConfig(4, 64, 1), CacheConfig(4, 128, 1)),
         ]:
-            small = run_encryption(CacheState(base_cfg), layout.resolve(trace), layout)
-            big = run_encryption(CacheState(grown_cfg), layout.resolve(trace), layout)
+            small = run_encryption(CacheState(base_cfg), layout.resolve(trace))
+            big = run_encryption(CacheState(grown_cfg), layout.resolve(trace))
             assert big.misses <= small.misses
 
 
@@ -138,7 +138,7 @@ def test_cold_misses_equal_distinct_lines():
             key, pt = rng.randbytes(16), rng.randbytes(16)
             trace: list[tuple[int, int]] = []
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
-            res = run_encryption(CacheState(cfg), layout.resolve(trace), layout)
+            res = run_encryption(CacheState(cfg), layout.resolve(trace))
             lines = {
                 layout.addresses[t, i] // cfg.line_size for t, i in trace
             }
@@ -152,8 +152,8 @@ def test_second_run_all_hits_when_capacity_fits():
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
     addresses = PACKED_LAYOUT.resolve(trace)
-    run_encryption(st, addresses, PACKED_LAYOUT)
-    again = run_encryption(st, addresses, PACKED_LAYOUT)
+    run_encryption(st, addresses)
+    again = run_encryption(st, addresses)
     assert again.misses == 0
 
 
@@ -163,8 +163,8 @@ def test_cold_flush_resets_each_run():
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
     addresses = PACKED_LAYOUT.resolve(trace)
-    first = run_encryption(st, addresses, PACKED_LAYOUT)
-    second = run_encryption(st, addresses, PACKED_LAYOUT)
+    first = run_encryption(st, addresses)
+    second = run_encryption(st, addresses)
     assert first.misses == second.misses > 0
 
 
@@ -173,9 +173,7 @@ def test_cycle_arithmetic_exact():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(b"\x01" * 16, aes.expand_key(b"\x02" * 16), trace=trace)
-    res = run_encryption(
-        st, PACKED_LAYOUT.resolve(trace), PACKED_LAYOUT, DisturbanceReport(extra_cycles=123)
-    )
+    res = run_encryption(st, PACKED_LAYOUT.resolve(trace), (), 123)
     assert res.cycles == res.hits * 2 + res.misses * 50 + 123
     assert res.accesses == 160
 
@@ -185,11 +183,6 @@ def test_trace_entry_validation():
         PACKED_LAYOUT.resolve([(7, 0)])
     with pytest.raises(LayoutError):
         PACKED_LAYOUT.resolve([(0, 300)])
-    # a countermeasure access outside the tables fails before any cache access
-    st = CacheState(CacheConfig())
-    with pytest.raises(LayoutError):
-        run_encryption(st, [], PACKED_LAYOUT, DisturbanceReport(extra_accesses=[(0, 300)] * 5))
-    assert st.accesses == 0
 
 
 def test_resolve_keeps_each_tuple_per_layout():
@@ -199,17 +192,6 @@ def test_resolve_keeps_each_tuple_per_layout():
                 assert list(layout.resolve(run)) == [layout.addresses[e] for e in run]
         with pytest.raises(LayoutError):
             PACKED_LAYOUT.resolve(((0, 1), (0, 300)))
-
-
-def test_replay_rejects_a_disturbance_layout_it_was_not_given():
-    trace: list[tuple[int, int]] = []
-    aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
-    report = DisturbanceReport(layout=PARTITIONED_LAYOUT)
-    st = CacheState(CacheConfig())
-    with pytest.raises(LayoutError):
-        run_encryption(st, PACKED_LAYOUT.resolve(trace), PACKED_LAYOUT, report)
-    res = run_encryption(st, PARTITIONED_LAYOUT.resolve(trace), PARTITIONED_LAYOUT, report)
-    assert res.accesses == 160
 
 
 def test_interleave_positions():

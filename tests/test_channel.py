@@ -77,6 +77,8 @@ def test_config_validation():
         _cfg(scratch_lines=100000)
     with pytest.raises(ValueError):
         _cfg(timing_scope="sometimes")
+    with pytest.raises(ValueError, match="address map"):
+        _cfg(cache=CacheConfig(line_size=64, num_sets=65536))
 
 
 def test_simulated_backend_deterministic():
@@ -106,8 +108,8 @@ BARE_GEOMETRIES = {
 
 def test_every_kind_is_bit_identical_to_bare_pipeline():
     """handle's incremental walk equals replaying every handler line, for all kinds."""
-    from ctlab.cachesim import PACKED_LAYOUT, CacheState, run_encryption
-    from ctlab.countermeasures import apply, make_state
+    from ctlab.cachesim import CacheState, run_encryption
+    from ctlab.countermeasures import apply, make_state, table_layout
 
     rk = aes.expand_key(KEY)
     for name, geometry in BARE_GEOMETRIES.items():
@@ -116,6 +118,7 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
             backend = ch.SimulatedBackend(cfg)
             bare_cache = CacheState(cfg.cache)
             cm_state, prng = make_state(kind), random.Random(cfg.prng_seed)
+            layout = table_layout(kind)
             rng = random.Random(12)
             for _ in range(40):
                 pt = rng.randbytes(16)
@@ -125,15 +128,28 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
                 scratch = bare_cache.access_all(backend.scratch_addrs)
                 trace: list[tuple[int, int]] = []
                 aes.encrypt(pt, rk, trace=trace)
-                layout = disturbance.layout or PACKED_LAYOUT
                 want = run_encryption(
-                    bare_cache, layout.resolve(trace), layout, disturbance
+                    bare_cache, layout.resolve(trace),
+                    layout.resolve(disturbance.extra_accesses), disturbance.extra_cycles,
                 ).cycles
                 if cfg.timing_scope == "whole_handler":
                     want += parse.cycles + scratch.cycles
                 assert got == want, (name, kind)
             assert (backend.cache.hits, backend.cache.misses) == (
                 bare_cache.hits, bare_cache.misses), (name, kind)
+
+
+def test_bad_countermeasure_access_fails_before_the_replay(monkeypatch):
+    from ctlab.cachesim import LayoutError
+    from ctlab.countermeasures import DisturbanceReport
+
+    bad = DisturbanceReport(extra_accesses=((0, 300),) * 5)
+    monkeypatch.setattr(ch, "apply", lambda kind, state, prng: bad)
+    backend = ch.SimulatedBackend(_cfg(scratch_lines=16))
+    with pytest.raises(LayoutError):
+        backend.handle(bytes(16))
+    # the handler walk ran; no table access reached the cache
+    assert backend.cache.accesses == len(backend.working_set.addresses)
 
 
 @pytest.mark.parametrize("kind", list(Kind))

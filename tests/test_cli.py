@@ -102,6 +102,45 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, line):
     assert f"unknown config key {line.split()[0]!r}" in str(exc.value.code)
 
 
+@pytest.mark.parametrize("named, argv", [
+    ("attack", ["serve", "--config", "{attack}", "--set", "backend=nativ", "--port", "0"]),
+    ("attack", ["experiment", "--config", "{attack}", "--set", "packet_size=3"]),
+    ("attack", ["experiment", "--config", "{attack}", "--set", "line_size=64",
+                "--set", "num_sets=65536"]),
+    ("missing", ["experiment", "--config", "{missing}"]),
+    ("missing", ["serve", "--config", "{missing}", "--port", "0"]),
+    ("bad", ["experiment", "--config", "{bad}"]),
+    ("bad", ["serve", "--config", "{bad}", "--port", "0"]),
+    ("missing", ["correlate", "--study", "{missing}", "--attack", "{empty}",
+                 "--study-key", STUDY_KEY, "--out", "{out}"]),
+    ("bad", ["correlate", "--study", "{bad}", "--attack", "{empty}",
+             "--study-key", STUDY_KEY, "--out", "{out}"]),
+    ("empty", ["correlate", "--study", "{empty}", "--attack", "{empty}",
+               "--study-key", STUDY_KEY, "--out", "{out}"]),
+    ("bad", ["search", "--candidates", "{bad}", "--pair", "00" * 16 + ":" + "00" * 16]),
+    ("missing", ["search", "--candidates", "{missing}", "--pair", "00" * 16 + ":" + "00" * 16]),
+    ("bad", ["report", "--in", "{bad}"]),
+], ids=["backend", "packet-size", "address-map",
+        "experiment-missing", "serve-missing", "experiment-malformed", "serve-malformed",
+        "correlate-missing", "correlate-bad-header", "correlate-no-samples",
+        "search-bad-csv", "search-missing", "report-bad-csv"])
+def test_bad_input_fails_in_one_line_before_any_work(tmp_path, monkeypatch, named, argv):
+    """A bad channel setting or an unreadable input file ends the command with
+    one line naming the file: Python prints a str exit code to stderr and
+    exits with status 1."""
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("missing", "bad", "empty", "out")}
+    paths["attack"] = str(Path(__file__).resolve().parent.parent / "configs" / "attack.cfg")
+    Path(paths["bad"]).write_text("backend simulated\n")
+    atk.save_profile(atk.TimingProfile(), paths["empty"])
+    monkeypatch.setattr(hn, "run_experiment", None)  # no collection may start
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert paths[named] in message
+    assert not Path(paths["out"]).exists()
+
+
 def test_collect_failure_saves_partial_profile_and_exits_nonzero(tmp_path, capsys):
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
         probe.bind(("127.0.0.1", 0))

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ctlab import countermeasures as cm
-from ctlab.cachesim import PARTITIONED_LAYOUT
+from ctlab.cachesim import PACKED_LAYOUT, PARTITIONED_LAYOUT
 
 # First draws for seed 1234, pinned once generated.
 GOLDEN_RANDOM_LOOP = [14, 3, 0, 2, 18, 1, 2, 3, 11, 7, 0, 0, 0, 11, 19, 15, 19, 14, 4, 2, 5, 3, 0, 16]
@@ -98,7 +98,7 @@ def test_prefetch_apply_five_windows():
     st = cm.PrefetchState()
     rep = cm.apply(cm.Kind.PREFETCH, st)
     assert len(rep.extra_accesses) == 320
-    assert rep.extra_cycles == 0 and rep.layout is None
+    assert rep.extra_cycles == 0 and rep.loop_count == 0
     assert st.window_start == 80  # advanced five windows
 
 
@@ -114,13 +114,15 @@ def test_prefetch_run_is_five_successive_windows(start):
 
 def test_none_report_is_empty():
     rep = cm.apply(cm.Kind.NONE)
-    assert rep == cm.DisturbanceReport(0, [], None)
+    assert rep == cm.DisturbanceReport(0, (), 0)
 
 
 def test_partition_overrides_layout_only():
-    rep = cm.apply(cm.Kind.CACHE_PARTITION)
-    assert rep.layout is PARTITIONED_LAYOUT
-    assert rep.extra_cycles == 0 and rep.extra_accesses == []
+    assert cm.apply(cm.Kind.CACHE_PARTITION) == cm.DisturbanceReport()
+    assert cm.table_layout(cm.Kind.CACHE_PARTITION) is PARTITIONED_LAYOUT
+    for kind in cm.Kind:
+        if kind is not cm.Kind.CACHE_PARTITION:
+            assert cm.table_layout(kind) is PACKED_LAYOUT
 
 
 def test_state_kind_mismatch_errors():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ctlab import harness as hn
+from ctlab.attack import ChannelError
 from ctlab.cachesim import CacheConfig
 from ctlab.countermeasures import Kind
 
@@ -173,11 +174,18 @@ def test_explicit_baseline_sets_slowdown():
     assert report.efficiency == pytest.approx(report.m / report.s)
 
 
-def test_failed_stage_yields_partial_report():
-    cfg = _experiment_config(scratch_lines=100000)  # rejected by the channel
-    report = hn.run_experiment(cfg)
+def test_failed_stage_yields_partial_report(monkeypatch):
+    with pytest.raises(ValueError):  # the channel settings are checked on load
+        _experiment_config(scratch_lines=100000)
+
+    class FailingBackend:
+        def handle(self, plaintext):
+            raise ChannelError("server went away")
+
+    monkeypatch.setattr(hn, "make_backend", lambda cfg: FailingBackend())
+    report = hn.run_experiment(_experiment_config())
     assert report.failed_stage is not None
-    assert report.failed_stage.startswith("setup")
+    assert report.failed_stage.startswith("collect_study")
     assert report.m is None and report.s is None
     row = report.as_row()
     assert hn.parse_report_csv(hn.emit_report([row], "csv"))[0].m is None
