@@ -6,6 +6,9 @@ yields a 16x256 profile whose shape is a fingerprint of ``pt ^ key``:
 profiles taken under two different keys are XOR-translates of each
 other, so sliding one against the other recovers the XOR difference of
 the keys, hence the unknown key when one of them is known.
+
+Every lab CSV (profile, candidates, report) is read through read_rows,
+which names the line of the first bad header, row width or cell.
 """
 
 from __future__ import annotations
@@ -222,18 +225,29 @@ def save_profile(profile: TimingProfile, path: str | Path) -> None:
                 )
 
 
+def read_rows(lines, header: tuple[str, ...], parsers, error: type[Exception]):
+    """Yield each row after ``header`` as its cells passed through ``parsers``;
+    a wrong header, width or cell raises ``error`` naming its line."""
+    reader = csv.reader(lines)
+    row = next(reader, None)
+    if row is None or tuple(row) != header:
+        raise error(f"line 1: expected header {','.join(header)}, got {row!r}")
+    for row in reader:
+        if len(row) != len(parsers):
+            raise error(f"line {reader.line_num}: expected {len(parsers)} cells, got {row!r}")
+        try:
+            cells = tuple(parse(cell) for parse, cell in zip(parsers, row))
+        except ValueError:
+            raise error(f"line {reader.line_num}: bad cell in {row!r}") from None
+        yield cells
+
+
 def load_profile(path: str | Path) -> TimingProfile:
     profile = TimingProfile()
     seen = [[False] * VALUES for _ in range(POSITIONS)]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != PROFILE_HEADER:
-            raise ProfileError(f"bad profile header: {header!r}")
-        for row in reader:
-            if len(row) != 5:
-                raise ProfileError(f"bad profile row: {row!r}")
-            j, v, count, total, sumsq = (int(x) for x in row)
+        for row in read_rows(fh, PROFILE_HEADER, (int,) * 5, ProfileError):
+            j, v, count, total, sumsq = row
             if not (0 <= j < POSITIONS and 0 <= v < VALUES):
                 raise ProfileError(f"profile cell out of range: {row!r}")
             if seen[j][v]:
@@ -266,16 +280,9 @@ def load_candidates(path: str | Path) -> CandidateReport:
     values: list[list[int]] = [[] for _ in range(POSITIONS)]
     scores: list[list[float]] = [[] for _ in range(POSITIONS)]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CANDIDATE_HEADER:
-            raise ProfileError(f"bad candidate header: {header!r}")
-        for row in reader:
-            if len(row) != 3:
-                raise ProfileError(f"bad candidate row: {row!r}")
-            j, value, score = int(row[0]), int(row[1]), float(row[2])
+        for j, value, score in read_rows(fh, CANDIDATE_HEADER, (int, int, float), ProfileError):
             if not (0 <= j < POSITIONS and 0 <= value < VALUES):
-                raise ProfileError(f"candidate out of range: {row!r}")
+                raise ProfileError(f"candidate out of range: {(j, value, score)!r}")
             if value in values[j]:
                 raise ProfileError(f"duplicate candidate ({j}, {value})")
             values[j].append(value)

@@ -35,7 +35,6 @@ those of replaying every address.
 from __future__ import annotations
 
 import logging
-import os
 import random
 import socket
 import struct
@@ -56,13 +55,10 @@ MSG_CIPHERTEXT = 0x02
 RESP_FLAG = 0x80
 HEADER_LEN = 17
 DEFAULT_PACKET_SIZE = 800
+DEFAULT_PORT = 41717
 
 PARSE_BASE = 0xA01800    # receive buffer
 SCRATCH_BASE = 0x800000  # other per-request handler state
-
-
-def default_port() -> int:
-    return int(os.environ.get("CTLAB_PORT", "41717"))
 
 
 class WireError(ValueError):
@@ -229,7 +225,11 @@ class TimingServer:
         self.config = config
         self.backend = make_backend(config)
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.bind((host, default_port() if port is None else port))
+        try:
+            self.sock.bind((host, DEFAULT_PORT if port is None else port))
+        except OSError:
+            self.sock.close()
+            raise
         self.sock.settimeout(0.2)
         self.address: tuple[str, int] = self.sock.getsockname()
         self.requests_served = 0
@@ -330,7 +330,10 @@ class UdpOracle:
         earlier requests and junk until a reply to this one arrives."""
         datagram = encode_request(msg_type, plaintext, self.packet_size)
         for _ in range(self.retries + 1):
-            self.sock.sendto(datagram, self.address)
+            try:
+                self.sock.sendto(datagram, self.address)
+            except OSError as exc:
+                raise ChannelError(f"cannot send to {self.endpoint}: {exc}") from None
             deadline = time.monotonic() + self.timeout
             while (remaining := deadline - time.monotonic()) > 0:
                 self.sock.settimeout(remaining)

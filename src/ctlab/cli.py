@@ -11,7 +11,7 @@ from random import Random
 
 from . import attack as atk
 from . import harness, keysearch
-from .channel import HEADER_LEN, TimingServer, UdpOracle, default_port
+from .channel import DEFAULT_PORT, HEADER_LEN, TimingServer, UdpOracle
 
 
 def _integer(low: int, high: float = math.inf):
@@ -101,9 +101,11 @@ def _write(text: str, out: str | None) -> None:
 def cmd_serve(args) -> int:
     config = _load_experiment(args.config, args.set)
     key = config.study_key if args.role == "study" else config.attack_key
-    server = TimingServer(
-        config.channel_config(key, run=0), host=args.host, port=args.port
-    )
+    try:
+        server = TimingServer(config.channel_config(key, run=0), host=args.host, port=args.port)
+    except OSError as exc:  # socket.gaierror is an OSError
+        print(f"serve failed: {exc}", file=sys.stderr)
+        return 1
     host, port = server.address
     # flushed so wrappers reading a pipe see the port immediately
     print(f"serving {config.backend} backend ({args.role} key) on {host}:{port}",
@@ -159,12 +161,13 @@ def cmd_correlate(args) -> int:
 
 def cmd_search(args) -> int:
     report = _read(atk.load_candidates, args.candidates)
-    outcome = keysearch.brute_force(
-        report,
-        args.pair,
-        threads=args.threads,
-        chunk_size=args.chunk,
-    )
+    try:
+        outcome = keysearch.brute_force(
+            report, args.pair, threads=args.threads, chunk_size=args.chunk
+        )
+    except keysearch.SearchError as exc:
+        print(f"search failed: {exc}", file=sys.stderr)
+        return 1
     found = outcome.found.hex() if outcome.found else "none"
     print(
         f"found={found} keys_tested={outcome.keys_tested} "
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which configured key the server loads")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_integer(0, 65535), default=None,
-                   help=f"UDP port, 0 for any free one (default {default_port()})")
+                   help=f"UDP port, 0 for any free one (default {DEFAULT_PORT})")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("collect", help="collect a timing profile over UDP")

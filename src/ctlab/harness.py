@@ -20,7 +20,7 @@ from . import attack as atk
 from .cachesim import CacheConfig
 from .channel import ChannelConfig, make_backend
 from .countermeasures import Kind
-from .keysearch import REFERENCE_ALPHA, brute_force, estimate_search_time
+from .keysearch import brute_force
 
 log = logging.getLogger("ctlab.harness")
 
@@ -54,10 +54,10 @@ class ReportRow:
     """One emitted report line; the lossless CSV unit."""
 
     countermeasure: str
-    m: float | None
-    c: float | None
-    s: float | None
-    efficiency: float | None
+    m: float | None = None
+    c: float | None = None
+    s: float | None = None
+    efficiency: float | None = None
     keyspace_log2: float | None = None
 
 
@@ -202,29 +202,19 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig(**config_kw)
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
-    countermeasure: str
+@dataclass(frozen=True, kw_only=True)
+class EfficiencyReport(ReportRow):
+    """One experiment's report row, with its per-run detail and notes."""
+
     runs: int
-    m: float | None = None
-    c: float | None = None
-    s: float | None = None
-    efficiency: float | None = None
-    keyspace_log2: float | None = None
     m_runs: tuple[int, ...] = ()
     keyspace_sizes: tuple[int, ...] = ()
-    estimate_seconds: float | None = None
     found_key: str | None = None
     recovered: bool | None = None
     keys_tested: int | None = None
     caveat: str | None = None
     hardware_note: str | None = None
     failed_stage: str | None = None
-
-    def as_row(self) -> ReportRow:
-        return ReportRow(
-            self.countermeasure, self.m, self.c, self.s, self.efficiency, self.keyspace_log2
-        )
 
 
 def _derived_seeds(config: ExperimentConfig, run: int) -> tuple[int, int]:
@@ -298,7 +288,6 @@ def run_experiment(
         eff = efficiency(m, s)
         keyspaces = tuple(r.keyspace_size for r in reports)
         keyspace_log2 = sum(math.log2(k) for k in keyspaces) / config.runs
-        estimate = estimate_search_time(keyspaces[0], REFERENCE_ALPHA)
 
         found_key = recovered = keys_tested = None
         if 0 < keyspaces[0] <= config.search_limit:
@@ -326,7 +315,6 @@ def run_experiment(
             keyspace_log2=keyspace_log2,
             m_runs=tuple(m_runs),
             keyspace_sizes=keyspaces,
-            estimate_seconds=estimate,
             found_key=found_key,
             recovered=recovered,
             keys_tested=keys_tested,
@@ -363,7 +351,6 @@ def _fmt(value: float | None) -> str:
 
 def emit_report(rows, fmt: str = "table") -> str:
     """Render report rows as an aligned table, lossless CSV, or plot series."""
-    rows = [r.as_row() if isinstance(r, EfficiencyReport) else r for r in rows]
     if fmt == "csv":
         out = StringIO()
         out.write(",".join(REPORT_HEADER) + "\n")
@@ -407,15 +394,8 @@ def emit_report(rows, fmt: str = "table") -> str:
 
 
 def parse_report_csv(text: str) -> list[ReportRow]:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or tuple(lines[0].split(",")) != REPORT_HEADER:
-        raise ValueError("bad report header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(REPORT_HEADER):
-            raise ValueError(f"bad report row: {line!r}")
-        name, *numbers = parts
-        values = [None if p == "" else float(p) for p in numbers]
-        rows.append(ReportRow(name, *values))
-    return rows
+    """Rows of an ``emit_report(..., "csv")`` text; blank lines are skipped
+    and not counted in the line numbers of an error."""
+    lines = (ln for ln in text.splitlines() if ln)
+    parsers = (str,) + (lambda p: None if p == "" else float(p),) * (len(REPORT_HEADER) - 1)
+    return [ReportRow(*row) for row in atk.read_rows(lines, REPORT_HEADER, parsers, ValueError)]

@@ -45,7 +45,6 @@ REFERENCE_SEARCH_TIMINGS: tuple[tuple[int, float], ...] = (
     (10**11, 2977.83),
     (10**12, 24512.69),
 )
-REFERENCE_ALPHA = 2.4e-8  # gradient of the reference timings, seconds per key
 
 
 class SearchError(RuntimeError):

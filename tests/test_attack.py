@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ctlab import attack as atk
+from ctlab import harness as hn
 from ctlab import keysearch as ks
 from ctlab.attack import ChannelError
 from ctlab.channel import ChannelConfig, SimulatedBackend
@@ -62,6 +63,29 @@ def test_profile_csv_rejects_damage(tmp_path):
         path.write_text("\n".join(broken) + "\n")
         with pytest.raises(atk.ProfileError):
             atk.load_profile(path)
+
+
+EMPTY_PROFILE = [",".join(atk.PROFILE_HEADER)] + [
+    f"{j},{v},0,0,0" for j in range(16) for v in range(256)
+]
+
+
+def _read_report(path):
+    return hn.parse_report_csv(Path(path).read_text())
+
+
+@pytest.mark.parametrize("load, lines, error, lineno", [
+    (atk.load_profile, EMPTY_PROFILE[:5] + ["0,4,x,0,0"] + EMPTY_PROFILE[6:], atk.ProfileError, 6),
+    (atk.load_candidates, ["position,value,score", "0,zz,1.0"], atk.ProfileError, 2),
+    (_read_report, [",".join(hn.REPORT_HEADER), "none,x,1,1,1,"], ValueError, 2),
+    (atk.load_profile, EMPTY_PROFILE[:2] + ["0,1,0,0"] + EMPTY_PROFILE[3:], atk.ProfileError, 3),
+], ids=["profile-cell", "candidate-cell", "report-cell", "profile-width"])
+def test_bad_csv_row_raises_loader_error_naming_its_line(tmp_path, load, lines, error, lineno):
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match=rf"\bline {lineno}\b") as exc:
+        load(path)
+    assert type(exc.value) is error
 
 
 def _load_with_last_cell(tmp_path, cell: str):

@@ -169,6 +169,53 @@ def test_unresolvable_endpoint_fails_in_one_line(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def _one_error_line(capsys, prefix: str) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)
+    return err[0]
+
+
+def test_serve_on_a_held_port_fails_in_one_line(config_file, capsys):
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as held:
+        held.bind(("127.0.0.1", 0))
+        port = held.getsockname()[1]
+        rc = main(["serve", "--config", str(config_file), "--port", str(port)])
+    assert rc == 1
+    assert "in use" in _one_error_line(capsys, "serve failed: ")
+
+
+def test_serve_on_an_unresolvable_host_closes_its_socket(config_file, capsys, monkeypatch):
+    closed = []
+    close = socket.socket.close
+
+    def no_such_host(self, address):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    def counted_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(socket.socket, "bind", no_such_host)
+    monkeypatch.setattr(socket.socket, "close", counted_close)
+    rc = main(["serve", "--config", str(config_file), "--host", "nosuchhost.invalid"])
+    assert rc == 1
+    assert "not known" in _one_error_line(capsys, "serve failed: ")
+    assert len(closed) == 1
+
+
+def test_refused_send_fails_collect_in_one_line(tmp_path, capsys, monkeypatch):
+    def refused(self, data, address):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(socket.socket, "sendto", refused)
+    out = tmp_path / "partial.csv"
+    rc = main(["collect", "--endpoint", "127.0.0.1:41717", "--samples", "1",
+               "--timeout", "0.05", "--retries", "0", "--out", str(out)])
+    assert rc == 1
+    assert "0/1 collected" in _one_error_line(capsys, "collect failed: ")
+    assert atk.load_profile(out).total_samples == 0
+
+
 def test_collect_and_correlate_verbs(tmp_path, config_file):
     cfg = hn.config_from_mapping(hn.load_config_file(config_file))
     servers = []
@@ -222,6 +269,22 @@ def test_search_verb_exit_codes(tmp_path):
         miss,
     )
     assert main(["search", "--candidates", str(miss), "--pair", pair]) == 1
+
+
+def test_search_above_enumeration_bound_fails_in_one_line(tmp_path, capsys):
+    # 8 positions of 256 values: a 2^64 product, refused before any chunk runs
+    huge = tmp_path / "huge.csv"
+    atk.save_candidates(
+        atk.CandidateReport(
+            tuple(tuple(range(256)) if j < 8 else (0,) for j in range(16)),
+            tuple((1.0,) * 256 if j < 8 else (1.0,) for j in range(16)),
+        ),
+        huge,
+    )
+    pair = "00" * 16 + ":" + "00" * 16
+    rc = main(["search", "--candidates", str(huge), "--pair", pair, "--pair", pair])
+    assert rc == 1
+    _one_error_line(capsys, "search failed: ")
 
 
 def test_experiment_verb_writes_csv(tmp_path, config_file):
@@ -290,4 +353,5 @@ def test_serve_subprocess_roundtrip(tmp_path, config_file):
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=5) == 0
     # the served=N dropped=M prefix is what scripts parse; new counters follow it
-    assert proc.stdout.read().splitlines()[-1] == "served=1 dropped=0 errors=0"
+    with proc.stdout:
+        assert proc.stdout.read().splitlines()[-1] == "served=1 dropped=0 errors=0"

@@ -162,7 +162,6 @@ def test_constant_time_run_has_boundary_caveat():
     assert report.efficiency == 0.0
     assert report.caveat is not None
     assert report.found_key is None  # keyspace far beyond the search limit
-    assert report.estimate_seconds == pytest.approx(2.4e-8 * 2**128, rel=1e-6)
 
 
 def test_explicit_baseline_sets_slowdown():
@@ -187,8 +186,7 @@ def test_failed_stage_yields_partial_report(monkeypatch):
     assert report.failed_stage is not None
     assert report.failed_stage.startswith("collect_study")
     assert report.m is None and report.s is None
-    row = report.as_row()
-    assert hn.parse_report_csv(hn.emit_report([row], "csv"))[0].m is None
+    assert hn.parse_report_csv(hn.emit_report([report], "csv"))[0].m is None
 
 
 def test_run_sweep_shares_one_baseline():
