@@ -111,12 +111,12 @@ def collect_profile(
         pt = rng.randbytes(16)
         try:
             cycles = oracle(pt)
-        except ChannelError:
+        except ChannelError as exc:
             failures += 1
             if failures >= max_failures:
                 raise CollectionError(
                     f"aborted after {failures} failed measurements "
-                    f"({collected}/{num_samples} collected)",
+                    f"({collected}/{num_samples} collected); last: {exc}",
                     profile,
                     failures,
                 )
@@ -227,19 +227,22 @@ def save_profile(profile: TimingProfile, path: str | Path) -> None:
 
 def read_rows(lines, header: tuple[str, ...], parsers, error: type[Exception]):
     """Yield each row after ``header`` as its cells passed through ``parsers``;
-    a wrong header, width or cell raises ``error`` naming its line."""
+    a wrong header, width or cell, or a csv.Error, raises ``error`` naming its line."""
     reader = csv.reader(lines)
-    row = next(reader, None)
-    if row is None or tuple(row) != header:
-        raise error(f"line 1: expected header {','.join(header)}, got {row!r}")
-    for row in reader:
-        if len(row) != len(parsers):
-            raise error(f"line {reader.line_num}: expected {len(parsers)} cells, got {row!r}")
-        try:
-            cells = tuple(parse(cell) for parse, cell in zip(parsers, row))
-        except ValueError:
-            raise error(f"line {reader.line_num}: bad cell in {row!r}") from None
-        yield cells
+    try:
+        row = next(reader, None)
+        if row is None or tuple(row) != header:
+            raise error(f"line 1: expected header {','.join(header)}, got {row!r}")
+        for row in reader:
+            if len(row) != len(parsers):
+                raise error(f"line {reader.line_num}: expected {len(parsers)} cells, got {row!r}")
+            try:
+                cells = tuple(parse(cell) for parse, cell in zip(parsers, row))
+            except ValueError:
+                raise error(f"line {reader.line_num}: bad cell in {row!r}") from None
+            yield cells
+    except csv.Error as exc:
+        raise error(f"line {reader.line_num}: {exc}") from None
 
 
 def load_profile(path: str | Path) -> TimingProfile:

@@ -10,8 +10,8 @@ records them from a layout's rows), optionally interleaving extra
 addresses, and charges hit_cycles/miss_cycles per access plus any flat
 extra cycles. It knows nothing of layouts: whoever placed the addresses
 also places the extra ones. MemoryLayout.resolve is the one
-(table, index) -> address mapping; it resolves each tuple once, so a
-fixed prefetch run costs one lookup per request. PACKED_LAYOUT and
+(table, index) -> address mapping; a server uses it once, when it builds
+its countermeasure state, and no request maps entries. PACKED_LAYOUT and
 PARTITIONED_LAYOUT are the only two layouts in use.
 
 CacheState.walk replays a fixed address sequence (a WorkingSet)
@@ -82,29 +82,14 @@ class MemoryLayout:
         self.rows = tuple(tuple(b + 4 * i for i in range(256)) for b in self.bases)
         # (table, index) -> byte address, for every valid trace entry
         self.addresses = {(t, i): self.rows[t][i] for t in TABLE_IDS for i in range(256)}
-        # id(entries) -> (entries, addresses) for up to 64 tuples resolve has seen
-        self._resolved: dict[int, tuple] = {}
 
-    def resolve(self, entries: Sequence[tuple[int, int]]) -> Sequence[int]:
-        """Byte addresses of (table, index) entries; LayoutError on any outside the tables.
-
-        A tuple's addresses are kept next to the tuple, whose id keys them:
-        prefetch passes one of its 16 fixed runs on every request.
-        """
-        memo = self._resolved
-        if type(entries) is tuple:
-            kept = memo.get(id(entries))
-            if kept is not None:
-                return kept[1]
+    def resolve(self, entries: Sequence[tuple[int, int]]) -> list[int]:
+        """Byte addresses of (table, index) entries; LayoutError on any outside the tables."""
         table = self.addresses
         try:
-            addresses = [table[entry] for entry in entries]
+            return [table[entry] for entry in entries]
         except KeyError as exc:
             raise LayoutError(f"trace entry {exc.args[0]} outside table regions") from None
-        if type(entries) is tuple and len(memo) < 64:
-            addresses = tuple(addresses)
-            memo[id(entries)] = (entries, addresses)
-        return addresses
 
 
 PACKED_BASE = 0x40000

@@ -11,9 +11,10 @@ logged; the server never dies on malformed input.
 Two interchangeable backends answer timing requests. The native backend
 times real encryptions with the highest-resolution monotonic counter
 available (perf_counter_ns). The simulated backend fixes its table
-layout when it is built (countermeasures.table_layout), traces each
-encryption as byte addresses from that layout's rows, resolves the
-countermeasure's accesses under the same layout, replays both through
+layout (countermeasures.table_layout) and builds its countermeasure
+state under it (countermeasures.make_state, seeded with prng_seed) once,
+when it is built. It traces each encryption as byte addresses from the
+layout's rows, replays them and the countermeasure's addresses through
 the deterministic cache model with run_encryption, and reports exactly
 the SimResult cycles under encrypt_only scope.
 
@@ -161,8 +162,7 @@ class SimulatedBackend:
         self.cache = CacheState(config.cache)
         self.kind = config.countermeasure
         self.layout = table_layout(config.countermeasure)
-        self.cm_state = make_state(config.countermeasure)
-        self.prng = random.Random(config.prng_seed)
+        self.cm_state = make_state(config.countermeasure, config.prng_seed, self.layout)
         parse, scratch, self.working_set = _handler_working_set(
             config.cache, config.packet_size, config.scratch_lines, config.scratch_seed
         )
@@ -171,12 +171,11 @@ class SimulatedBackend:
 
     def handle(self, plaintext: bytes) -> tuple[int, bytes]:
         """Serve one timing request; returns (cycles, ciphertext)."""
-        disturbance = apply(self.kind, self.cm_state, self.prng)
+        disturbance = apply(self.kind, self.cm_state)
         walk = self.cache.walk(self.working_set)
         trace: list[int] = []
         ct = encrypt(plaintext, self.round_keys, trace, self.layout.rows)
-        extra = self.layout.resolve(disturbance.extra_accesses)
-        sim = run_encryption(self.cache, trace, extra, disturbance.extra_cycles)
+        sim = run_encryption(self.cache, trace, disturbance.extra_accesses, disturbance.extra_cycles)
         cycles = sim.cycles
         if self.config.timing_scope == "whole_handler":
             cycles += walk.cycles
@@ -193,8 +192,7 @@ class NativeBackend:
         self.config = config
         self.round_keys = expand_key(config.key)
         self.kind = config.countermeasure
-        self.cm_state = make_state(config.countermeasure)
-        self.prng = random.Random(config.prng_seed)
+        self.cm_state = make_state(config.countermeasure, config.prng_seed)
 
     def handle(self, plaintext: bytes) -> tuple[int, bytes]:
         whole = self.config.timing_scope == "whole_handler"
@@ -204,7 +202,7 @@ class NativeBackend:
             acc = 0
             for b in buf:
                 acc ^= b
-        execute_disturbance(self.kind, self.cm_state, self.prng)
+        execute_disturbance(self.kind, self.cm_state)
         ct = encrypt(plaintext, self.round_keys)
         return time.perf_counter_ns() - start, ct
 

@@ -66,8 +66,14 @@ def _pair(text: str) -> tuple[bytes, bytes]:
     return _block(pt), _block(ct)
 
 
+def _size(text: str) -> int:
+    value = _number(1)(text)
+    # an integer stays exact: float() rounds any above 2**53
+    return int(text) if text.strip().isdigit() else int(value)
+
+
 def _sizes(text: str) -> list[int]:
-    return [int(_number(1)(part)) for part in text.split(",") if part]
+    return [_size(part) for part in text.split(",") if part]
 
 
 def _load_experiment(path: str, overrides: list[str]) -> harness.ExperimentConfig:

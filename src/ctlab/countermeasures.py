@@ -6,6 +6,9 @@ partitioning instead fixes where a server places its tables, once
 (table_layout). Ciphertexts are never touched, so every variant is
 semantics-preserving by construction.
 
+A server builds its countermeasure's state once (make_state): random_loop's
+seeded PRNG, or prefetch's 16 fixed runs, placed under the server's layout.
+
 In native mode the same reports drive real executed code (a busy loop,
 actual table reads) inside the timed window; see execute_disturbance.
 Cache partitioning is simulation-only there: CPython offers no control
@@ -18,7 +21,7 @@ from __future__ import annotations
 import enum
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .aes import TTABLES
 from .cachesim import PACKED_LAYOUT, PARTITIONED_LAYOUT, MemoryLayout
@@ -49,6 +52,15 @@ SPECIFIED_RESET_BELOW = 6
 
 PREFETCH_WINDOW = 16
 
+# Window k is 16 consecutive indices from 16k on each of Te0..Te3; the run
+# apply() injects from window k is windows k..k+4 (mod 16), sharing entries.
+_WINDOWS = [[(t, w + i) for t in range(4) for i in range(PREFETCH_WINDOW)]
+            for w in range(0, 256, PREFETCH_WINDOW)]
+PREFETCH_RUNS = tuple(
+    tuple(entry for k in range(w, w + 5) for entry in _WINDOWS[k % len(_WINDOWS)])
+    for w in range(len(_WINDOWS))
+)
+
 
 @dataclass
 class SpecifiedLoopState:
@@ -58,6 +70,8 @@ class SpecifiedLoopState:
 @dataclass
 class PrefetchState:
     window_start: int = 0
+    # the 16 runs apply() hands out; make_state places them under a layout
+    runs: tuple = field(init=False, repr=False, default=PREFETCH_RUNS)
 
     def __post_init__(self) -> None:
         if self.window_start % PREFETCH_WINDOW or not 0 <= self.window_start < 256:
@@ -67,13 +81,13 @@ class PrefetchState:
 @dataclass
 class DisturbanceReport:
     extra_cycles: int = 0
-    extra_accesses: Sequence[tuple[int, int]] = ()
+    extra_accesses: Sequence = ()  # (table, index) entries, or addresses once placed
     loop_count: int = 0  # dummy-loop iterations the native path executes
 
 
-def random_loop_next(prng: random.Random) -> int:
+def random_loop_next(rng: random.Random) -> int:
     """Draw the per-encryption dummy-loop iteration count, 0..19."""
-    return prng.randrange(RANDOM_LOOP_BOUND)
+    return rng.randrange(RANDOM_LOOP_BOUND)
 
 
 def specified_loop_next(state: SpecifiedLoopState) -> int:
@@ -106,15 +120,6 @@ def prefetch_next(state: PrefetchState) -> list[tuple[int, int]]:
     return window
 
 
-# The five-window run apply() injects, for each of the 16 window starts.
-# Runs share the (table, index) entries of the windows instead of copying them.
-_WINDOWS = [prefetch_next(PrefetchState(w)) for w in range(0, 256, PREFETCH_WINDOW)]
-PREFETCH_RUNS = tuple(
-    tuple(entry for k in range(w, w + 5) for entry in _WINDOWS[k % len(_WINDOWS)])
-    for w in range(len(_WINDOWS))
-)
-
-
 def random_loop_cycles(n: int) -> int:
     return RNG_CYCLES + n * LOOP_ITER_CYCLES
 
@@ -124,7 +129,8 @@ def specified_loop_cycles(count: int) -> int:
 
 
 # The state object each stateful kind carries between encryptions.
-_STATE_TYPES = {Kind.SPECIFIED_LOOP: SpecifiedLoopState, Kind.PREFETCH: PrefetchState}
+_STATE_TYPES = {Kind.RANDOM_LOOP: random.Random, Kind.SPECIFIED_LOOP: SpecifiedLoopState,
+                Kind.PREFETCH: PrefetchState}
 
 
 def table_layout(kind: Kind) -> MemoryLayout:
@@ -132,17 +138,23 @@ def table_layout(kind: Kind) -> MemoryLayout:
     return PARTITIONED_LAYOUT if kind is Kind.CACHE_PARTITION else PACKED_LAYOUT
 
 
-def make_state(kind: Kind):
-    """Fresh per-server countermeasure state; None for stateless kinds."""
+def make_state(kind: Kind, seed: int | None = None, layout: MemoryLayout | None = None):
+    """Fresh per-server countermeasure state; None for stateless kinds.
+
+    random_loop's state is random.Random(seed); a None seed seeds from the
+    system. Under a layout, prefetch's runs are placed once, as byte
+    addresses (LayoutError on an entry outside the tables).
+    """
+    if kind is Kind.RANDOM_LOOP:
+        return random.Random(seed)
     state_type = _STATE_TYPES.get(kind)
-    return None if state_type is None else state_type()
+    state = None if state_type is None else state_type()
+    if kind is Kind.PREFETCH and layout is not None:
+        state.runs = tuple(tuple(layout.resolve(run)) for run in PREFETCH_RUNS)
+    return state
 
 
-def apply(
-    kind: Kind,
-    state=None,
-    prng: random.Random | None = None,
-) -> DisturbanceReport:
+def apply(kind: Kind, state=None) -> DisturbanceReport:
     """Produce one encryption's disturbance for the given countermeasure."""
     expected = _STATE_TYPES.get(kind)
     if expected is None and state is not None:
@@ -152,32 +164,27 @@ def apply(
     if kind in (Kind.NONE, Kind.CACHE_PARTITION):
         return DisturbanceReport()
     if kind is Kind.RANDOM_LOOP:
-        if prng is None:
-            raise StateError("random_loop requires a PRNG")
-        n = random_loop_next(prng)
+        n = random_loop_next(state)
         return DisturbanceReport(extra_cycles=random_loop_cycles(n), loop_count=n)
     if kind is Kind.SPECIFIED_LOOP:
         count = specified_loop_next(state)
         return DisturbanceReport(extra_cycles=specified_loop_cycles(count), loop_count=count)
     if kind is Kind.PREFETCH:
-        run = PREFETCH_RUNS[state.window_start // PREFETCH_WINDOW]
+        run = state.runs[state.window_start // PREFETCH_WINDOW]
         # five windows, one per main-loop iteration
         state.window_start = (state.window_start + 5 * PREFETCH_WINDOW) % 256
         return DisturbanceReport(extra_accesses=run)
     raise StateError(f"unknown countermeasure kind {kind!r}")
 
 
-def execute_disturbance(
-    kind: Kind,
-    state=None,
-    prng: random.Random | None = None,
-) -> None:
+def execute_disturbance(kind: Kind, state=None) -> None:
     """Run the countermeasure's real work for native timing.
 
     The busy loop and table reads execute here so a hardware timer sees
-    them; what they do is apply()'s report for the same kind and state.
+    them; what they do is apply()'s report for the same kind and state,
+    built by make_state without a layout.
     """
-    report = apply(kind, state, prng=prng)
+    report = apply(kind, state)
     acc = 0
     for i in range(report.loop_count):
         acc += i

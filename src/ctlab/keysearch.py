@@ -149,14 +149,12 @@ def _no_match_space(size: int) -> CandidateReport:
         raise SearchError("size must be >= 1")
     factors: list[int] = []
     remaining = size
-    divisor = 2
-    while divisor * divisor <= remaining:
+    for divisor in range(2, 257):
         while remaining % divisor == 0:
             factors.append(divisor)
             remaining //= divisor
-        divisor += 1
-    if remaining > 1:
-        factors.append(remaining)
+    if remaining > 1:  # a prime factor above 256 fits no radix
+        raise SearchError(f"cannot shape a key space of size {size}")
     radices = [1] * 16
     for f in sorted(factors, reverse=True):
         packed = False

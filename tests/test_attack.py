@@ -70,6 +70,9 @@ EMPTY_PROFILE = [",".join(atk.PROFILE_HEADER)] + [
 ]
 
 
+BIG_CELL = "1" * 200_000
+
+
 def _read_report(path):
     return hn.parse_report_csv(Path(path).read_text())
 
@@ -79,7 +82,12 @@ def _read_report(path):
     (atk.load_candidates, ["position,value,score", "0,zz,1.0"], atk.ProfileError, 2),
     (_read_report, [",".join(hn.REPORT_HEADER), "none,x,1,1,1,"], ValueError, 2),
     (atk.load_profile, EMPTY_PROFILE[:2] + ["0,1,0,0"] + EMPTY_PROFILE[3:], atk.ProfileError, 3),
-], ids=["profile-cell", "candidate-cell", "report-cell", "profile-width"])
+    # a quoted cell above the csv module's 131,072-character field limit
+    (atk.load_profile, EMPTY_PROFILE[:1] + [f'0,0,"{BIG_CELL}",0,0'], atk.ProfileError, 2),
+    (atk.load_candidates, ["position,value,score", f'0,"{BIG_CELL}",1.0'], atk.ProfileError, 2),
+    (_read_report, [",".join(hn.REPORT_HEADER), f'"{BIG_CELL}",1,1,1,1,'], ValueError, 2),
+], ids=["profile-cell", "candidate-cell", "report-cell", "profile-width",
+        "profile-big", "candidate-big", "report-big"])
 def test_bad_csv_row_raises_loader_error_naming_its_line(tmp_path, load, lines, error, lineno):
     path = tmp_path / "in.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -354,7 +362,7 @@ def test_collect_profile_aborts_with_partial():
             raise ChannelError("link down")
         return 7
 
-    with pytest.raises(atk.CollectionError) as exc:
+    with pytest.raises(atk.CollectionError, match="link down") as exc:
         atk.collect_profile(dying, 200, random.Random(1), max_failures=20)
     assert exc.value.failures == 20
     assert exc.value.partial.total_samples == 50

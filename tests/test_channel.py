@@ -117,13 +117,15 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
             cfg = _cfg(countermeasure=kind, **geometry)
             backend = ch.SimulatedBackend(cfg)
             bare_cache = CacheState(cfg.cache)
-            cm_state, prng = make_state(kind), random.Random(cfg.prng_seed)
+            # random_loop's state is the bare pipeline's own PRNG; prefetch's
+            # runs stay (table, index) entries, resolved below on each request
+            cm_state = random.Random(cfg.prng_seed) if kind is Kind.RANDOM_LOOP else make_state(kind)
             layout = table_layout(kind)
             rng = random.Random(12)
             for _ in range(40):
                 pt = rng.randbytes(16)
                 got, _ = backend.handle(pt)
-                disturbance = apply(kind, cm_state, prng)
+                disturbance = apply(kind, cm_state)
                 parse = bare_cache.access_all(backend.parse_addrs)
                 scratch = bare_cache.access_all(backend.scratch_addrs)
                 trace: list[tuple[int, int]] = []
@@ -139,17 +141,30 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
                 bare_cache.hits, bare_cache.misses), (name, kind)
 
 
-def test_bad_countermeasure_access_fails_before_the_replay(monkeypatch):
+def test_bad_countermeasure_access_fails_when_the_server_is_built(monkeypatch):
+    from ctlab import countermeasures as cm
     from ctlab.cachesim import LayoutError
-    from ctlab.countermeasures import DisturbanceReport
 
-    bad = DisturbanceReport(extra_accesses=((0, 300),) * 5)
-    monkeypatch.setattr(ch, "apply", lambda kind, state, prng: bad)
-    backend = ch.SimulatedBackend(_cfg(scratch_lines=16))
+    bad = ((0, 1),) * 319 + ((0, 300),)
+    monkeypatch.setattr(cm, "PREFETCH_RUNS", (bad,) * 16)
     with pytest.raises(LayoutError):
-        backend.handle(bytes(16))
-    # the handler walk ran; no table access reached the cache
-    assert backend.cache.accesses == len(backend.working_set.addresses)
+        ch.SimulatedBackend(_cfg(countermeasure=Kind.PREFETCH))
+
+
+def test_prefetch_requests_map_no_table_entries(monkeypatch):
+    from ctlab.cachesim import MemoryLayout
+
+    cfg = _cfg(countermeasure=Kind.PREFETCH, scratch_lines=16)
+    reference, backend = ch.SimulatedBackend(cfg), ch.SimulatedBackend(cfg)
+    rng = random.Random(5)
+    pts = [rng.randbytes(16) for _ in range(32)]
+    want = [reference.handle(pt)[0] for pt in pts]
+
+    def no_resolve(self, entries):
+        raise AssertionError("a request mapped (table, index) entries")
+
+    monkeypatch.setattr(MemoryLayout, "resolve", no_resolve)
+    assert [backend.handle(pt)[0] for pt in pts] == want
 
 
 @pytest.mark.parametrize("kind", list(Kind))

@@ -8,6 +8,7 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -212,7 +213,8 @@ def test_refused_send_fails_collect_in_one_line(tmp_path, capsys, monkeypatch):
     rc = main(["collect", "--endpoint", "127.0.0.1:41717", "--samples", "1",
                "--timeout", "0.05", "--retries", "0", "--out", str(out)])
     assert rc == 1
-    assert "0/1 collected" in _one_error_line(capsys, "collect failed: ")
+    line = _one_error_line(capsys, "collect failed: ")
+    assert "0/1 collected" in line and "Permission denied" in line
     assert atk.load_profile(out).total_samples == 0
 
 
@@ -287,6 +289,20 @@ def test_search_above_enumeration_bound_fails_in_one_line(tmp_path, capsys):
     _one_error_line(capsys, "search failed: ")
 
 
+def test_search_on_an_oversized_csv_cell_fails_in_one_line(tmp_path, capsys, monkeypatch):
+    # a quoted cell above the csv module's 131,072-character field limit;
+    # a str exit code is printed to stderr as one line, with status 1
+    monkeypatch.chdir(tmp_path)
+    Path("big.csv").write_text('position,value,score\n0,"' + "1" * 200_000 + '",1.0\n')
+    pair = "00" * 16 + ":" + "00" * 16
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--candidates", "big.csv", "--pair", pair])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith("cannot read big.csv: line 2: ")
+    assert capsys.readouterr().out == ""
+
+
 def test_experiment_verb_writes_csv(tmp_path, config_file):
     out = tmp_path / "report.csv"
     rc = main([
@@ -315,12 +331,15 @@ def test_bench_rate_verb(capsys):
     assert "alpha=" in printed and "size=10000" in printed
 
 
-def test_unshapeable_bench_size_fails_in_one_line(capsys):
-    assert main(["bench-rate", "--sizes", "257"]) == 1  # a prime above 256
+@pytest.mark.parametrize("size", [257, 2**61 - 1])  # primes above 256
+def test_unshapeable_bench_size_fails_in_one_line(capsys, size):
+    start = time.monotonic()
+    assert main(["bench-rate", "--sizes", str(size)]) == 1
+    assert time.monotonic() - start < 5
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
-    assert len(err) == 1 and "257" in err[0]
+    assert len(err) == 1 and str(size) in err[0]
 
 
 def test_readme_commands_parse():

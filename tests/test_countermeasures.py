@@ -65,7 +65,7 @@ def test_random_loop_cost_formula():
     assert cm.random_loop_cycles(20) == 3800 + 20 * 7 == 3940
     assert cm.random_loop_cycles(0) == 3800
     prng = random.Random(42)
-    rep = cm.apply(cm.Kind.RANDOM_LOOP, prng=prng)
+    rep = cm.apply(cm.Kind.RANDOM_LOOP, prng)
     assert 3800 <= rep.extra_cycles <= 3800 + 19 * 7
     assert (rep.extra_cycles - 3800) % 7 == 0
 
@@ -133,7 +133,7 @@ def test_state_kind_mismatch_errors():
     with pytest.raises(cm.StateError):
         cm.apply(cm.Kind.NONE, state=cm.PrefetchState())
     with pytest.raises(cm.StateError):
-        cm.apply(cm.Kind.RANDOM_LOOP, prng=None)
+        cm.apply(cm.Kind.RANDOM_LOOP, state=None)
 
 
 # For each kind, a state object of the wrong type (None where one is required).
@@ -148,17 +148,25 @@ WRONG_STATE = {
 
 @pytest.mark.parametrize("kind", list(cm.Kind), ids=lambda k: k.value)
 def test_native_and_simulated_reject_the_same_states(kind):
-    prng = random.Random(1)
     with pytest.raises(cm.StateError):
-        cm.apply(kind, WRONG_STATE[kind], prng)
+        cm.apply(kind, WRONG_STATE[kind])
     with pytest.raises(cm.StateError):
-        cm.execute_disturbance(kind, WRONG_STATE[kind], prng)
+        cm.execute_disturbance(kind, WRONG_STATE[kind])
 
 
 def test_make_state():
     assert cm.make_state(cm.Kind.NONE) is None
     assert isinstance(cm.make_state(cm.Kind.SPECIFIED_LOOP), cm.SpecifiedLoopState)
     assert isinstance(cm.make_state(cm.Kind.PREFETCH), cm.PrefetchState)
+    for seed in (1, 1234):
+        state, oracle = cm.make_state(cm.Kind.RANDOM_LOOP, seed), random.Random(seed)
+        assert [state.random() for _ in range(50)] == [oracle.random() for _ in range(50)]
+    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
+        placed = cm.make_state(cm.Kind.PREFETCH, layout=layout).runs
+        assert len(placed) == len(cm.PREFETCH_RUNS) == 16
+        for got, run in zip(placed, cm.PREFETCH_RUNS):
+            assert list(got) == layout.resolve(run)
+    assert cm.make_state(cm.Kind.PREFETCH).runs == cm.PREFETCH_RUNS
 
 
 def test_execute_disturbance_runs_and_advances_state():
@@ -168,6 +176,6 @@ def test_execute_disturbance_runs_and_advances_state():
     st2 = cm.SpecifiedLoopState()
     cm.execute_disturbance(cm.Kind.SPECIFIED_LOOP, st2)
     assert st2.gen == 104
-    cm.execute_disturbance(cm.Kind.RANDOM_LOOP, prng=random.Random(1))
+    cm.execute_disturbance(cm.Kind.RANDOM_LOOP, random.Random(1))
     cm.execute_disturbance(cm.Kind.NONE)
     cm.execute_disturbance(cm.Kind.CACHE_PARTITION)
