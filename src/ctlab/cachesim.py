@@ -49,7 +49,7 @@ class CacheConfig:
     assoc: int = 4
     hit_cycles: int = 2
     miss_cycles: int = 50
-    cold_flush_per_encryption: bool = True
+    cold_flush: bool = True  # empty the cache before each encryption
 
     def __post_init__(self) -> None:
         if not _is_pow2(self.line_size):
@@ -258,7 +258,7 @@ def run_encryption(
     Flushes first when the config says each encryption starts cold.
     cycles = hits*hit + misses*miss + extra_cycles.
     """
-    if state.config.cold_flush_per_encryption:
+    if state.config.cold_flush:
         state.flush()
     res = state.access_all(interleave_accesses(addresses, extra))
     res.cycles += extra_cycles

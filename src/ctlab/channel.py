@@ -8,6 +8,9 @@ Wire format (datagrams):
 Anything shorter than 17 bytes or with an unknown type is dropped and
 logged; the server never dies on malformed input.
 
+ServerSettings declares each server setting but the key once; ChannelConfig
+adds the key, and harness.ExperimentConfig the rest of an experiment.
+
 Two interchangeable backends answer timing requests. The native backend
 times real encryptions with the highest-resolution monotonic counter
 available (perf_counter_ns). The simulated backend fixes its table
@@ -110,11 +113,10 @@ def decode_response(datagram: bytes) -> tuple[int, bytes, bytes]:
     return msg_type, datagram[1:17], payload
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Everything a timing server needs; the key never crosses the wire."""
+@dataclass(frozen=True, kw_only=True)
+class ServerSettings:
+    """Every setting of a timing server but its key: name, default, check."""
 
-    key: bytes
     countermeasure: Kind = Kind.NONE
     backend: str = "simulated"            # simulated | native
     packet_size: int = DEFAULT_PACKET_SIZE
@@ -125,8 +127,6 @@ class ChannelConfig:
     prng_seed: int | None = 1             # None -> wall-clock seeding (native live mode)
 
     def __post_init__(self) -> None:
-        if len(self.key) != 16:
-            raise ValueError("key must be 16 bytes")
         if self.backend not in ("simulated", "native"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.timing_scope not in ("encrypt_only", "whole_handler"):
@@ -137,6 +137,18 @@ class ChannelConfig:
             raise ValueError("scratch_lines must be within 0..num_sets")
         if SCRATCH_BASE + self.cache.line_size * self.cache.num_sets > PARSE_BASE:
             raise ValueError("cache period too large for the fixed handler address map")
+
+
+@dataclass(frozen=True)
+class ChannelConfig(ServerSettings):
+    """Everything a timing server needs; the key never crosses the wire."""
+
+    key: bytes
+
+    def __post_init__(self) -> None:
+        if len(self.key) != 16:
+            raise ValueError("key must be 16 bytes")
+        super().__post_init__()
 
 
 @lru_cache(maxsize=64)

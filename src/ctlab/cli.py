@@ -11,7 +11,7 @@ from random import Random
 
 from . import attack as atk
 from . import harness, keysearch
-from .channel import DEFAULT_PORT, HEADER_LEN, TimingServer, UdpOracle
+from .channel import DEFAULT_PACKET_SIZE, DEFAULT_PORT, HEADER_LEN, TimingServer, UdpOracle
 
 
 def _integer(low: int, high: float = math.inf):
@@ -97,6 +97,15 @@ def _read(load, path: str):
         raise SystemExit(f"cannot read {path}: {exc}") from None
 
 
+def _writable(path: str | None) -> None:
+    """Exit with one line naming path if it cannot be opened for writing."""
+    if path:
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise SystemExit(f"cannot write {path}: {exc}") from None
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -138,6 +147,7 @@ def cmd_collect(args) -> int:
         print(f"collect failed: {exc}", file=sys.stderr)
         return 1
     with oracle:
+        _writable(args.out)
         try:
             profile = atk.collect_profile(oracle, args.samples, Random(args.seed))
         except atk.CollectionError as exc:
@@ -155,6 +165,7 @@ def cmd_correlate(args) -> int:
 
     study = _read(signature, args.study)
     attacked = _read(signature, args.attack)
+    _writable(args.out)
     corr = atk.correlate(study, args.study_key, attacked)
     report = atk.candidate_sets(corr, args.retention)
     atk.save_candidates(report, args.out)
@@ -184,6 +195,7 @@ def cmd_search(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _load_experiment(args.config, args.set)
+    _writable(args.out)
     if args.sweep:
         reports = harness.run_sweep(config)
     else:
@@ -226,6 +238,7 @@ def cmd_bench_rate(args) -> int:
 
 def cmd_report(args) -> int:
     rows = _read(lambda path: harness.parse_report_csv(Path(path).read_text()), args.infile)
+    _writable(args.out)
     _write(harness.emit_report(rows, args.format), args.out)
     return 0
 
@@ -254,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_integer(1), required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--packet-size", type=_integer(HEADER_LEN), default=800)
+    p.add_argument("--packet-size", type=_integer(HEADER_LEN), default=DEFAULT_PACKET_SIZE)
     p.add_argument("--timeout", type=_number(0, above=True), default=1.0,
                    help="seconds per attempt")
     p.add_argument("--retries", type=_integer(0), default=5)

@@ -5,20 +5,24 @@ native) servers that differ only in their key: collect a profile per
 phase, correlate, extract candidates, optionally brute-force, and score
 the countermeasure by missing key bytes (m), cycle cost (c), slowdown
 (s = c / baseline c), and efficiency (m / s).
+
+ExperimentConfig extends channel.ServerSettings with its own settings;
+channel_config copies the server's share into each run's ChannelConfig,
+and the config keys are the fields of ExperimentConfig and CacheConfig.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from io import StringIO
 from pathlib import Path
 from random import Random
 
 from . import attack as atk
 from .cachesim import CacheConfig
-from .channel import ChannelConfig, make_backend
+from .channel import ChannelConfig, ServerSettings, make_backend
 from .countermeasures import Kind
 from .keysearch import brute_force
 
@@ -61,9 +65,9 @@ class ReportRow:
     keyspace_log2: float | None = None
 
 
-# Published per-countermeasure reference measurements (800-byte packets,
-# baseline 5062 cycles per unprotected encryption).  Retained as fixture
-# rows; the efficiency column holds the published rounded figures.
+# Published per-countermeasure reference measurements (DEFAULT_PACKET_SIZE
+# packets, baseline 5062 cycles per unprotected encryption).  Retained as
+# fixture rows; the efficiency column holds the published rounded figures.
 BASELINE_CYCLES = 5062
 REFERENCE_ROWS: tuple[ReportRow, ...] = (
     ReportRow("random_loop", 7, 9303, 1.84, 3.80),
@@ -75,22 +79,16 @@ REFERENCE_ROWS: tuple[ReportRow, ...] = (
 ALL_KINDS = tuple(Kind)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(ServerSettings):
+    """A server's settings plus the keys, budgets and search of one experiment."""
+
     study_key: bytes
     attack_key: bytes
-    countermeasure: Kind = Kind.NONE
-    backend: str = "simulated"
-    cache: CacheConfig = CacheConfig()
-    packet_size: int = 800
-    timing_scope: str = "encrypt_only"
-    scratch_lines: int = 0
-    scratch_seed: int = 1
     samples_study: int = 32768
     samples_attack: int = 32768
     spread: float = 1.0
     seed: int = 1
-    prng_seed: int | None = 1
     runs: int = 5
     search_limit: int = 1 << 24
     search_threads: int = 1
@@ -105,33 +103,26 @@ class ExperimentConfig:
             raise ValueError("runs must be positive")
         if not 0 <= self.spread < math.inf:
             raise ValueError("spread must be finite and non-negative")
-        if self.search_limit < 0 or self.search_threads < 1:
-            raise ValueError("bad search settings")
-        self.channel_config(self.study_key, 0)  # refuse bad channel settings now
+        if self.search_limit < 0:
+            raise ValueError("search_limit must be non-negative")
+        if self.search_threads < 1:
+            raise ValueError("search_threads must be positive")
+        super().__post_init__()
 
     def channel_config(self, key: bytes, run: int, kind: Kind | None = None) -> ChannelConfig:
-        prng = None if self.prng_seed is None else self.prng_seed + run
-        return ChannelConfig(
-            key=key,
-            countermeasure=self.countermeasure if kind is None else kind,
-            backend=self.backend,
-            packet_size=self.packet_size,
-            timing_scope=self.timing_scope,
-            cache=self.cache,
-            scratch_lines=self.scratch_lines,
-            scratch_seed=self.scratch_seed,
-            prng_seed=prng,
-        )
-
-
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+        settings = {f.name: getattr(self, f.name) for f in fields(ServerSettings)}
+        if kind is not None:
+            settings["countermeasure"] = kind
+        if self.prng_seed is not None:
+            settings["prng_seed"] = self.prng_seed + run
+        return ChannelConfig(key=key, **settings)
 
 
 def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
+    word = text.strip().lower()
+    if word not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return word in ("true", "1", "yes")
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -155,50 +146,31 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return parse_config_text(Path(path).read_text())
 
 
-_CACHE_FIELDS = {
-    "line_size": int,
-    "num_sets": int,
-    "assoc": int,
-    "hit_cycles": int,
-    "miss_cycles": int,
+# One parser per annotated field type; a field whose type has none
+# (ExperimentConfig.cache) is not a config key.
+_PARSERS = {
+    "bytes": bytes.fromhex, "Kind": Kind, "str": str, "int": int, "float": float,
+    "bool": _parse_bool, "int | None": lambda v: None if v.lower() == "none" else int(v),
 }
-_CONFIG_FIELDS = {
-    "study_key": bytes.fromhex,
-    "attack_key": bytes.fromhex,
-    "countermeasure": Kind,
-    "backend": str,
-    "packet_size": int,
-    "timing_scope": str,
-    "scratch_lines": int,
-    "scratch_seed": int,
-    "samples_study": int,
-    "samples_attack": int,
-    "spread": float,
-    "seed": int,
-    "prng_seed": lambda v: None if v.lower() == "none" else int(v),
-    "runs": int,
-    "search_limit": int,
-    "search_threads": int,
-}
+_KEYS = {f.name: (cls, _PARSERS[f.type]) for cls in (ExperimentConfig, CacheConfig)
+         for f in fields(cls) if f.type in _PARSERS}
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    cache_kw = {}
-    config_kw = {}
+    kwargs: dict[type, dict] = {ExperimentConfig: {}, CacheConfig: {}}
     for key, value in mapping.items():
-        if key in _CACHE_FIELDS:
-            cache_kw[key] = _CACHE_FIELDS[key](value)
-        elif key == "cold_flush":
-            cache_kw["cold_flush_per_encryption"] = _parse_bool(value)
-        elif key in _CONFIG_FIELDS:
-            config_kw[key] = _CONFIG_FIELDS[key](value)
-        else:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        cls, parse = _KEYS[key]
+        try:
+            kwargs[cls][key] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    config_kw = kwargs[ExperimentConfig]
     for name in ("study_key", "attack_key"):
         if name not in config_kw:
             raise ValueError(f"config is missing {name}")
-    if cache_kw:
-        config_kw["cache"] = CacheConfig(**cache_kw)
+    config_kw["cache"] = CacheConfig(**kwargs[CacheConfig])
     return ExperimentConfig(**config_kw)
 
 

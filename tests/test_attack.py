@@ -372,7 +372,7 @@ ATTACK_GEOMETRY = CacheConfig(
     line_size=4,
     num_sets=2048,
     assoc=1,
-    cold_flush_per_encryption=False,
+    cold_flush=False,
 )
 
 

@@ -147,7 +147,7 @@ def test_cold_misses_equal_distinct_lines():
 
 
 def test_second_run_all_hits_when_capacity_fits():
-    cfg = CacheConfig(line_size=64, num_sets=64, assoc=4, cold_flush_per_encryption=False)
+    cfg = CacheConfig(line_size=64, num_sets=64, assoc=4, cold_flush=False)
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
@@ -158,7 +158,7 @@ def test_second_run_all_hits_when_capacity_fits():
 
 
 def test_cold_flush_resets_each_run():
-    cfg = CacheConfig(line_size=64, num_sets=64, assoc=4, cold_flush_per_encryption=True)
+    cfg = CacheConfig(line_size=64, num_sets=64, assoc=4, cold_flush=True)
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
@@ -240,7 +240,7 @@ def test_walk_matches_full_replay_and_oracle(assoc):
     for _ in range(12):
         line = rng.choice([4, 16, 64])
         cfg = CacheConfig(line_size=line, num_sets=rng.choice([4, 8, 16]), assoc=assoc,
-                          cold_flush_per_encryption=False)
+                          cold_flush=False)
         pool = [rng.randrange(0, 64) * line for _ in range(24)]
         walk_addrs = [rng.choice(pool) + rng.randrange(line) for _ in range(30)]
         ws = WorkingSet(cfg, walk_addrs)
@@ -266,7 +266,7 @@ def test_walk_matches_full_replay_and_oracle(assoc):
 
 
 def test_walk_pays_one_miss_for_one_evicted_line():
-    cfg = CacheConfig(line_size=4, num_sets=16, assoc=1, cold_flush_per_encryption=False)
+    cfg = CacheConfig(line_size=4, num_sets=16, assoc=1, cold_flush=False)
     ws = WorkingSet(cfg, [4 * i for i in range(8)])
     st = CacheState(cfg)
     assert (st.walk(ws).hits, st.walk(ws).hits) == (0, 8)

@@ -94,14 +94,14 @@ def test_simulated_backend_deterministic():
 BARE_GEOMETRIES = {
     # configs/attack.cfg: direct-mapped, persistent, 200 parse + 320 scratch lines
     "attack": dict(cache=CacheConfig(line_size=4, num_sets=2048, assoc=1,
-                                     cold_flush_per_encryption=False),
+                                     cold_flush=False),
                    scratch_lines=320, scratch_seed=9),
     "assoc4": dict(cache=CacheConfig(line_size=16, num_sets=128, assoc=4,
-                                     cold_flush_per_encryption=False),
+                                     cold_flush=False),
                    scratch_lines=96),
     "cold": dict(cache=CacheConfig(line_size=4, num_sets=2048, assoc=1), scratch_lines=320),
     "whole": dict(cache=CacheConfig(line_size=16, num_sets=256, assoc=2,
-                                    cold_flush_per_encryption=False),
+                                    cold_flush=False),
                   scratch_lines=64, timing_scope="whole_handler"),
 }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
 import signal
@@ -21,6 +22,7 @@ from ctlab.cli import build_parser, main
 
 STUDY_KEY = "2b7e151628aed2a6abf7158809cf4f3c"
 ATTACK_KEY = "8e73b0f7da0e6452c810f32b809079e5"
+SRC = Path(__file__).resolve().parent.parent / "src"  # where a child process imports ctlab
 
 TINY_CONFIG = f"""
 # small, fast experiment used by the CLI tests
@@ -121,14 +123,22 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, line):
     ("bad", ["search", "--candidates", "{bad}", "--pair", "00" * 16 + ":" + "00" * 16]),
     ("missing", ["search", "--candidates", "{missing}", "--pair", "00" * 16 + ":" + "00" * 16]),
     ("bad", ["report", "--in", "{bad}"]),
+    ("attack:num_sets", ["experiment", "--config", "{attack}", "--set", "num_sets=abc"]),
+    ("attack:countermeasure", ["experiment", "--config", "{attack}",
+                               "--set", "countermeasure=bogus"]),
+    ("attack:study_key", ["experiment", "--config", "{attack}", "--set", "study_key=zz"]),
+    ("attack:spread", ["serve", "--config", "{attack}", "--set", "spread=x", "--port", "0"]),
 ], ids=["backend", "packet-size", "address-map",
         "experiment-missing", "serve-missing", "experiment-malformed", "serve-malformed",
         "correlate-missing", "correlate-bad-header", "correlate-no-samples",
-        "search-bad-csv", "search-missing", "report-bad-csv"])
+        "search-bad-csv", "search-missing", "report-bad-csv",
+        "bad-int", "bad-kind", "bad-hex", "bad-float"])
 def test_bad_input_fails_in_one_line_before_any_work(tmp_path, monkeypatch, named, argv):
     """A bad channel setting or an unreadable input file ends the command with
-    one line naming the file: Python prints a str exit code to stderr and
-    exits with status 1."""
+    one line naming the file, and a value that does not parse also names its
+    config key (written after the colon in ``named``): Python prints a str
+    exit code to stderr and exits with status 1."""
+    named, _, key = named.partition(":")
     paths = {name: str(tmp_path / f"{name}.csv") for name in ("missing", "bad", "empty", "out")}
     paths["attack"] = str(Path(__file__).resolve().parent.parent / "configs" / "attack.cfg")
     Path(paths["bad"]).write_text("backend simulated\n")
@@ -139,7 +149,39 @@ def test_bad_input_fails_in_one_line_before_any_work(tmp_path, monkeypatch, name
     message = exc.value.code
     assert isinstance(message, str) and "\n" not in message
     assert paths[named] in message
+    if key:
+        assert f"{key}: " in message
     assert not Path(paths["out"]).exists()
+
+
+@pytest.mark.parametrize("verb", ["collect", "correlate", "experiment", "report"])
+def test_unwritable_out_fails_in_one_line_before_any_work(tmp_path, monkeypatch, config_file,
+                                                          verb):
+    out = str(tmp_path / "missing" / "x")
+    profile = tmp_path / "profile.csv"
+    sample = atk.TimingProfile()
+    sample.add(bytes(16), 100)
+    atk.save_profile(sample, profile)
+    report = tmp_path / "report.csv"
+    report.write_text(hn.emit_report(hn.REFERENCE_ROWS, "csv"))
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    argv = {
+        "collect": ["collect", "--endpoint", f"127.0.0.1:{port}", "--samples", "1",
+                    "--timeout", "0.01", "--retries", "0"],
+        "correlate": ["correlate", "--study", str(profile), "--attack", str(profile),
+                      "--study-key", STUDY_KEY],
+        "experiment": ["experiment", "--config", str(config_file)],
+        "report": ["report", "--in", str(report)],
+    }[verb]
+    monkeypatch.setattr(hn, "run_experiment", None)  # no collection may start
+    monkeypatch.setattr(atk, "collect_profile", None)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", out])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"cannot write {out}: ")
 
 
 def test_collect_failure_saves_partial_profile_and_exits_nonzero(tmp_path, capsys):
@@ -360,6 +402,8 @@ def test_serve_subprocess_roundtrip(tmp_path, config_file):
     proc = subprocess.Popen(
         [sys.executable, "-m", "ctlab.cli", "serve", "--config", str(config_file),
          "--port", "0"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)),
         stdout=subprocess.PIPE,
         text=True,
     )

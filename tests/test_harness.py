@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ctlab import harness as hn
 from ctlab.attack import ChannelError
 from ctlab.cachesim import CacheConfig
+from ctlab.channel import ChannelConfig
 from ctlab.countermeasures import Kind
 
 STUDY_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -81,7 +83,7 @@ def _mapping(**extra) -> dict[str, str]:
 def test_config_from_mapping():
     cfg = hn.config_from_mapping(_mapping(countermeasure="prefetch", prng_seed="none"))
     assert cfg.countermeasure is Kind.PREFETCH
-    assert cfg.cache == CacheConfig(16, 256, 2, cold_flush_per_encryption=False)
+    assert cfg.cache == CacheConfig(16, 256, 2, cold_flush=False)
     assert cfg.prng_seed is None
     assert cfg.samples_attack == 1500
     with pytest.raises(ValueError):
@@ -90,17 +92,76 @@ def test_config_from_mapping():
         hn.config_from_mapping({"study_key": STUDY_KEY.hex()})
     with pytest.raises(ValueError):
         hn.config_from_mapping(_mapping(cold_flush="maybe"))
+    with pytest.raises(ValueError, match="^search_limit "):
+        hn.config_from_mapping(_mapping(search_limit="-1"))
+    with pytest.raises(ValueError, match="^search_threads "):
+        hn.config_from_mapping(_mapping(search_threads="0"))
+
+    # every accepted key, each off its default
+    every = {
+        "study_key": ATTACK_KEY.hex(), "attack_key": STUDY_KEY.hex(),
+        "countermeasure": "cache_partition", "backend": "native", "packet_size": "512",
+        "timing_scope": "whole_handler", "scratch_lines": "7", "scratch_seed": "3",
+        "prng_seed": "11", "samples_study": "900", "samples_attack": "901",
+        "spread": "0.5", "seed": "13", "runs": "2", "search_limit": "17",
+        "search_threads": "3", "line_size": "32", "num_sets": "128", "assoc": "8",
+        "hit_cycles": "3", "miss_cycles": "70", "cold_flush": "no",
+    }
+    assert len(every) == 22
+    cfg = hn.config_from_mapping(every)
+    assert cfg == hn.ExperimentConfig(
+        study_key=ATTACK_KEY, attack_key=STUDY_KEY, countermeasure=Kind.CACHE_PARTITION,
+        backend="native", packet_size=512, timing_scope="whole_handler", scratch_lines=7,
+        scratch_seed=3, prng_seed=11, samples_study=900, samples_attack=901, spread=0.5,
+        seed=13, runs=2, search_limit=17, search_threads=3,
+        cache=CacheConfig(line_size=32, num_sets=128, assoc=8, hit_cycles=3,
+                          miss_cycles=70, cold_flush=False),
+    )
 
 
 COMMITTED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+CONFIG_KEYS = {
+    "study_key", "attack_key", "countermeasure", "backend", "packet_size", "timing_scope",
+    "scratch_lines", "scratch_seed", "prng_seed", "samples_study", "samples_attack",
+    "spread", "seed", "runs", "search_limit", "search_threads",
+    "line_size", "num_sets", "assoc", "hit_cycles", "miss_cycles", "cold_flush",
+}
 
 
 def test_committed_configs_load():
-    # A stale key in a shipped config fails here, not minutes into an experiment.
-    assert len(COMMITTED_CONFIGS) >= 2
+    # A stale key in a shipped config fails here, not minutes into an experiment,
+    # and each shipped config documents every accepted key.
+    assert len(COMMITTED_CONFIGS) >= 2 and len(CONFIG_KEYS) == 22
     for path in COMMITTED_CONFIGS:
-        cfg = hn.config_from_mapping(hn.load_config_file(path))
+        mapping = hn.load_config_file(path)
+        assert set(mapping) == CONFIG_KEYS, path.name
+        cfg = hn.config_from_mapping(mapping)
         cfg.channel_config(cfg.attack_key, run=0)
+
+
+def test_channel_config_carries_every_server_setting():
+    cache = CacheConfig(line_size=32, num_sets=128, assoc=8, hit_cycles=3, miss_cycles=70,
+                        cold_flush=False)
+    cfg = hn.ExperimentConfig(
+        study_key=STUDY_KEY, attack_key=ATTACK_KEY, countermeasure=Kind.RANDOM_LOOP,
+        backend="native", packet_size=512, timing_scope="whole_handler", cache=cache,
+        scratch_lines=7, scratch_seed=3, prng_seed=11,
+    )
+    assert cfg.channel_config(ATTACK_KEY, 3) == ChannelConfig(
+        key=ATTACK_KEY, countermeasure=Kind.RANDOM_LOOP, backend="native", packet_size=512,
+        timing_scope="whole_handler", cache=cache, scratch_lines=7, scratch_seed=3,
+        prng_seed=14,
+    )
+    assert cfg.channel_config(ATTACK_KEY, 3, Kind.PREFETCH) == ChannelConfig(
+        key=ATTACK_KEY, countermeasure=Kind.PREFETCH, backend="native", packet_size=512,
+        timing_scope="whole_handler", cache=cache, scratch_lines=7, scratch_seed=3,
+        prng_seed=14,
+    )
+    assert replace(cfg, prng_seed=None).channel_config(STUDY_KEY, 3) == ChannelConfig(
+        key=STUDY_KEY, countermeasure=Kind.RANDOM_LOOP, backend="native", packet_size=512,
+        timing_scope="whole_handler", cache=cache, scratch_lines=7, scratch_seed=3,
+        prng_seed=None,
+    )
 
 
 def test_report_csv_roundtrip_of_reference_rows():
