@@ -3,16 +3,17 @@
 Addresses are plain byte addresses. A block number is address divided by
 line_size; its set is block mod num_sets. Replacement state lives per
 set as a most-recently-used-last list of block numbers, so equal blocks
-are equal (tag, set) pairs and no separate tag math is needed.
+are equal (tag, set) pairs and no separate tag math is needed. The
+model counts hits; CacheConfig.cycles alone prices a hit count in cycles.
 
 run_encryption replays one encryption's table byte addresses (aes.encrypt
 records them from a layout's rows), optionally interleaving extra
-addresses, and charges hit_cycles/miss_cycles per access plus any flat
-extra cycles. It knows nothing of layouts: whoever placed the addresses
-also places the extra ones. MemoryLayout.resolve is the one
-(table, index) -> address mapping; a server uses it once, when it builds
-its countermeasure state, and no request maps entries. PACKED_LAYOUT and
-PARTITIONED_LAYOUT are the only two layouts in use.
+addresses, and returns the replay's cycles plus any flat extra cycles.
+It knows nothing of layouts: whoever placed the addresses also places
+the extra ones. MemoryLayout.resolve is the one (table, index) -> address
+mapping; a server uses it once, when it builds its countermeasure state,
+and no request maps entries. PACKED_LAYOUT and PARTITIONED_LAYOUT are
+the only two layouts in use.
 
 CacheState.walk replays a fixed address sequence (a WorkingSet)
 incrementally, and exactly. Under LRU, replaying a sequence on the state
@@ -61,6 +62,10 @@ class CacheConfig:
         if self.hit_cycles < 0 or self.miss_cycles < 0:
             raise ValueError("cycle costs must be non-negative")
 
+    def cycles(self, hits, accesses):
+        """Cycles of accesses that hit hits times; elementwise on numpy arrays."""
+        return hits * self.hit_cycles + (accesses - hits) * self.miss_cycles
+
 
 class MemoryLayout:
     """Byte base addresses for Te0..Te4; each table occupies 1024 bytes.
@@ -105,17 +110,6 @@ PACKED_LAYOUT = MemoryLayout(tuple(PACKED_BASE + i * TABLE_BYTES for i in range(
 PARTITIONED_LAYOUT = MemoryLayout(PARTITION_BASES)
 
 
-@dataclass
-class SimResult:
-    hits: int
-    misses: int
-    cycles: int
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-
 class WorkingSet:
     """A fixed address sequence, grouped by cache set, for CacheState.walk.
 
@@ -140,7 +134,7 @@ class WorkingSet:
         for s, seq in by_set.items():
             probe.flush()
             probe.access_all(seq)
-            self.steady[s] = probe.access_all(seq).hits
+            self.steady[s] = probe.access_all(seq)
         self.steady_hits = sum(self.steady.values())
 
 
@@ -167,13 +161,9 @@ class CacheState:
             s.clear()
         self._last_walk = None
 
-    def access(self, address: int) -> bool:
-        """Touch one address; returns True on hit. LRU within the set."""
-        return self.access_all((address,)).hits == 1
-
-    def access_all(self, addresses: Sequence[int]) -> SimResult:
-        """Touch a pre-resolved address list; returns the per-call delta."""
-        h0, m0 = self.hits, self.misses
+    def access_all(self, addresses: Sequence[int]) -> int:
+        """Touch a pre-resolved address list in order, LRU within each set;
+        returns how many of the accesses hit."""
         shift, mask, assoc = self._line_shift, self._set_mask, self.config.assoc
         sets = self._sets
         changed = self._changed.add
@@ -194,13 +184,11 @@ class CacheState:
                 lru.append(block)
                 if len(lru) > assoc:
                     del lru[0]
-        misses = len(addresses) - hits
-        self.hits = h0 + hits
-        self.misses = m0 + misses
-        cfg = self.config
-        return SimResult(hits, misses, hits * cfg.hit_cycles + misses * cfg.miss_cycles)
+        self.hits += hits
+        self.misses += len(addresses) - hits
+        return hits
 
-    def walk(self, ws: WorkingSet) -> SimResult:
+    def walk(self, ws: WorkingSet) -> int:
         """Touch ws's addresses in order; equal to access_all(ws.addresses).
 
         Replays only the sets changed since ws was last walked on this
@@ -209,20 +197,18 @@ class CacheState:
         if self._last_walk is not ws:
             if ws.config != self.config:
                 raise ValueError("working set was built for another cache geometry")
-            res = self.access_all(ws.addresses)
+            hits = self.access_all(ws.addresses)
         else:
             dirty = self._changed & ws.sets
             by_set, steady = ws.by_set, ws.steady
-            res = self.access_all([a for s in dirty for a in by_set[s]])
-            hits = res.hits + ws.steady_hits - sum(steady[s] for s in dirty)
-            misses = len(ws.addresses) - hits
-            self.hits += hits - res.hits
-            self.misses += misses - res.misses
-            cfg = self.config
-            res = SimResult(hits, misses, hits * cfg.hit_cycles + misses * cfg.miss_cycles)
+            replayed = [a for s in dirty for a in by_set[s]]
+            steady_hits = ws.steady_hits - sum(steady[s] for s in dirty)
+            self.hits += steady_hits
+            self.misses += len(ws.addresses) - len(replayed) - steady_hits
+            hits = self.access_all(replayed) + steady_hits
         self._changed.clear()
         self._last_walk = ws
-        return res
+        return hits
 
 
 def interleave_accesses(trace: Sequence[int], extra: Sequence[int]) -> Sequence[int]:
@@ -250,16 +236,14 @@ def run_encryption(
     addresses: Sequence[int],
     extra: Sequence[int] = (),
     extra_cycles: int = 0,
-) -> SimResult:
-    """Replay one encryption's table addresses through the cache.
+) -> int:
+    """Replay one encryption's table addresses; returns its cycles plus extra_cycles.
 
     addresses are the encryption's 160 lookups, already placed; extra
     are countermeasure addresses, interleaved by interleave_accesses.
     Flushes first when the config says each encryption starts cold.
-    cycles = hits*hit + misses*miss + extra_cycles.
     """
     if state.config.cold_flush:
         state.flush()
-    res = state.access_all(interleave_accesses(addresses, extra))
-    res.cycles += extra_cycles
-    return res
+    replay = interleave_accesses(addresses, extra)
+    return state.config.cycles(state.access_all(replay), len(replay)) + extra_cycles

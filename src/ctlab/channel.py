@@ -19,7 +19,7 @@ state under it (countermeasures.make_state, seeded with prng_seed) once,
 when it is built. It traces each encryption as byte addresses from the
 layout's rows, replays them and the countermeasure's addresses through
 the deterministic cache model with run_encryption, and reports exactly
-the SimResult cycles under encrypt_only scope.
+the cycles it returns under encrypt_only scope.
 
 The simulated handler also walks its own working set through the same
 cache on every request: the datagram buffer (packet_size bytes at a
@@ -28,12 +28,12 @@ cold flushing this is invisible in encrypt_only timings; with a
 persistent cache it evicts table lines set by set between encryptions,
 which is the deterministic stand-in for the ambient eviction a real
 victim's memory traffic causes. whole_handler scope adds the working
-set's own hit/miss cycles, so packet size shows up in timings the way
-it does on hardware. The walk (parse buffer, then scratch lines) is one
-CacheState.walk over a WorkingSet shared by every backend of the same
-geometry: it re-simulates only the cache sets that changed since the
-previous request's walk, and its hits, misses and cycles are exactly
-those of replaying every address.
+set's hit count priced by CacheConfig.cycles, so packet size shows up
+in timings the way it does on hardware. The walk (parse buffer, then
+scratch lines) is one CacheState.walk over a WorkingSet shared by every
+backend of the same geometry: it re-simulates only the cache sets that
+changed since the previous request's walk, and its hit count is exactly
+that of replaying every address.
 """
 
 from __future__ import annotations
@@ -184,13 +184,12 @@ class SimulatedBackend:
     def handle(self, plaintext: bytes) -> tuple[int, bytes]:
         """Serve one timing request; returns (cycles, ciphertext)."""
         disturbance = apply(self.kind, self.cm_state)
-        walk = self.cache.walk(self.working_set)
+        walk_hits = self.cache.walk(self.working_set)
         trace: list[int] = []
         ct = encrypt(plaintext, self.round_keys, trace, self.layout.rows)
-        sim = run_encryption(self.cache, trace, disturbance.extra_accesses, disturbance.extra_cycles)
-        cycles = sim.cycles
+        cycles = run_encryption(self.cache, trace, disturbance.extra_accesses, disturbance.extra_cycles)
         if self.config.timing_scope == "whole_handler":
-            cycles += walk.cycles
+            cycles += self.config.cache.cycles(walk_hits, len(self.working_set.addresses))
         return cycles, ct
 
     def ciphertext(self, plaintext: bytes) -> bytes:

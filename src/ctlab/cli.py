@@ -179,9 +179,7 @@ def cmd_correlate(args) -> int:
 def cmd_search(args) -> int:
     report = _read(atk.load_candidates, args.candidates)
     try:
-        outcome = keysearch.brute_force(
-            report, args.pair, threads=args.threads, chunk_size=args.chunk
-        )
+        outcome = keysearch.brute_force(report, args.pair, threads=args.threads)
     except keysearch.SearchError as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return 1
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", type=_pair, action="append", required=True,
                    metavar="PTHEX:CTHEX")
     p.add_argument("--threads", type=_integer(1), default=1)
-    p.add_argument("--chunk", type=_integer(1), default=keysearch.DEFAULT_CHUNK)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("experiment", help="full pipeline from a config file")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -104,12 +105,14 @@ def brute_force(
     Deterministic regardless of ``threads``: the accepted key is the
     first full match in canonical enumeration order, and keys_tested is
     its 1-based rank (or the whole space size when nothing matches).
+    threads is capped at the CPU count, the most that can run at once.
     """
     pairs = _check_pairs(pairs)
     if len(pairs) < 2:
         log.warning("single verification pair; a second removes any false-positive doubt")
     if threads < 1 or chunk_size < 1:
         raise ValueError("threads and chunk_size must be positive")
+    threads = min(threads, os.cpu_count() or 1)
     values = cands.values
     sizes = [len(v) for v in values]
     total = math.prod(sizes)
@@ -173,7 +176,18 @@ def _no_match_space(size: int) -> CandidateReport:
 
 
 def measure_search_rate(sizes, *, threads: int = 1) -> list[tuple[int, float]]:
-    """Worst-case (no match) search wall time per key-space size."""
+    """Worst-case (no match) search wall time per key-space size.
+
+    Every size is checked before any is measured: each must be shapeable
+    and at most the largest reference size, which already takes hours.
+    """
+    largest = REFERENCE_SEARCH_TIMINGS[-1][0]
+    spaces = []
+    for raw in sizes:
+        size = int(raw)
+        if size > largest:
+            raise SearchError(f"size {size} is above the largest reference size {largest}")
+        spaces.append((size, _no_match_space(size)))
     schedule = aes.expand_key(_BENCH_KEY)
     second = bytes(reversed(_BENCH_PT))
     pairs = [
@@ -181,9 +195,8 @@ def measure_search_rate(sizes, *, threads: int = 1) -> list[tuple[int, float]]:
         (second, aes.encrypt(second, schedule)),
     ]
     points: list[tuple[int, float]] = []
-    for raw in sizes:
-        size = int(raw)
-        outcome = brute_force(_no_match_space(size), pairs, threads=threads)
+    for size, space in spaces:
+        outcome = brute_force(space, pairs, threads=threads)
         if outcome.found is not None or outcome.keys_tested != size:
             raise SearchError("benchmark space unexpectedly produced a match")
         points.append((size, outcome.elapsed))

@@ -175,7 +175,7 @@ def test_criterion_09_cache_simulator_oracle_equivalence():
             saved = bucket.copy()
             hits, misses = state.hits, state.misses
             mark = len(oracle.history)
-            assert state.access(address) == oracle.access(address)
+            assert state.access_all((address,)) == oracle.access(address)
             nodes += 1
             if depth > 1:
                 descend(depth - 1)
@@ -195,10 +195,10 @@ def test_criterion_09_cache_simulator_oracle_equivalence():
             trace: list[tuple[int, int]] = []
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
             cold = CacheState(deep)
-            result = run_encryption(cold, layout.resolve(trace))
+            run_encryption(cold, layout.resolve(trace))
             lines = {layout.addresses[t, i] >> 6 for t, i in trace}
-            assert result.misses == len(lines)
-            assert result.hits == len(trace) - len(lines)
+            assert cold.misses == len(lines)
+            assert cold.hits == len(trace) - len(lines)
     elapsed = time.perf_counter() - started
     print(f"\ncriterion 9 PASS: {nodes} traces vs recency oracle + 200 cold "
           f"miss counts ({elapsed:.1f}s)")

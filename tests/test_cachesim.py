@@ -14,7 +14,6 @@ from ctlab.cachesim import (
     CacheState,
     LayoutError,
     MemoryLayout,
-    SimResult,
     WorkingSet,
     interleave_accesses,
     run_encryption,
@@ -68,12 +67,12 @@ def test_partitioned_set_ranges_disjoint_te0_to_te3():
 
 def test_basic_hit_miss_and_stats():
     st = CacheState(CacheConfig(line_size=64, num_sets=4, assoc=2))
-    assert st.access(0) is False
-    assert st.access(0) is True
-    assert st.access(32) is True  # same line
+    assert st.access_all((0,)) == 0
+    assert st.access_all((0,)) == 1
+    assert st.access_all((32,)) == 1  # same line
     assert (st.hits, st.misses, st.accesses) == (2, 1, 3)
     st.flush()
-    assert st.access(0) is False
+    assert st.access_all((0,)) == 0
     assert (st.hits, st.misses) == (2, 2)  # flush preserves statistics
 
 
@@ -82,18 +81,18 @@ def test_lru_eviction_round_robin():
     st = CacheState(CacheConfig(line_size=64, num_sets=1, assoc=2))
     addrs = [0, 64, 128]
     for a in addrs:
-        st.access(a)
+        st.access_all((a,))
     for _ in range(10):
         for a in addrs:
-            assert st.access(a) is False
+            assert st.access_all((a,)) == 0
 
 
 def test_direct_mapped_alternation():
     st = CacheState(CacheConfig(line_size=64, num_sets=2, assoc=1))
     a, b = 0, 128  # same set, different lines
     for _ in range(8):
-        assert st.access(a) is False
-        assert st.access(b) is False
+        assert st.access_all((a,)) == 0
+        assert st.access_all((b,)) == 0
 
 
 def test_lru_matches_recency_oracle_randomized():
@@ -107,7 +106,7 @@ def test_lru_matches_recency_oracle_randomized():
         pool = [rng.randrange(0, 64) * line for _ in range(8)]
         for _ in range(300):
             addr = rng.choice(pool) + rng.randrange(line)
-            assert st.access(addr) == oracle.access(addr)
+            assert st.access_all((addr,)) == oracle.access(addr)
 
 
 def _random_trace(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -125,8 +124,9 @@ def test_more_ways_or_sets_never_hurt():
             (CacheConfig(64, 16, 2), CacheConfig(64, 32, 2)),
             (CacheConfig(4, 64, 1), CacheConfig(4, 128, 1)),
         ]:
-            small = run_encryption(CacheState(base_cfg), layout.resolve(trace))
-            big = run_encryption(CacheState(grown_cfg), layout.resolve(trace))
+            small, big = CacheState(base_cfg), CacheState(grown_cfg)
+            run_encryption(small, layout.resolve(trace))
+            run_encryption(big, layout.resolve(trace))
             assert big.misses <= small.misses
 
 
@@ -138,12 +138,13 @@ def test_cold_misses_equal_distinct_lines():
             key, pt = rng.randbytes(16), rng.randbytes(16)
             trace: list[tuple[int, int]] = []
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
-            res = run_encryption(CacheState(cfg), layout.resolve(trace))
+            cold = CacheState(cfg)
+            run_encryption(cold, layout.resolve(trace))
             lines = {
                 layout.addresses[t, i] // cfg.line_size for t, i in trace
             }
-            assert res.misses == len(lines)
-            assert res.hits == len(trace) - len(lines)
+            assert cold.misses == len(lines)
+            assert cold.hits == len(trace) - len(lines)
 
 
 def test_second_run_all_hits_when_capacity_fits():
@@ -153,8 +154,9 @@ def test_second_run_all_hits_when_capacity_fits():
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
     addresses = PACKED_LAYOUT.resolve(trace)
     run_encryption(st, addresses)
-    again = run_encryption(st, addresses)
-    assert again.misses == 0
+    before = st.misses
+    run_encryption(st, addresses)
+    assert st.misses == before
 
 
 def test_cold_flush_resets_each_run():
@@ -163,9 +165,10 @@ def test_cold_flush_resets_each_run():
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
     addresses = PACKED_LAYOUT.resolve(trace)
-    first = run_encryption(st, addresses)
-    second = run_encryption(st, addresses)
-    assert first.misses == second.misses > 0
+    run_encryption(st, addresses)
+    first = st.misses
+    run_encryption(st, addresses)
+    assert first == st.misses - first > 0
 
 
 def test_cycle_arithmetic_exact():
@@ -173,9 +176,9 @@ def test_cycle_arithmetic_exact():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(b"\x01" * 16, aes.expand_key(b"\x02" * 16), trace=trace)
-    res = run_encryption(st, PACKED_LAYOUT.resolve(trace), (), 123)
-    assert res.cycles == res.hits * 2 + res.misses * 50 + 123
-    assert res.accesses == 160
+    cycles = run_encryption(st, PACKED_LAYOUT.resolve(trace), (), 123)
+    assert cycles == st.hits * 2 + st.misses * 50 + 123
+    assert st.accesses == 160
 
 
 def test_trace_entry_validation():
@@ -212,9 +215,8 @@ def test_access_all_matches_single_access():
     cfg = CacheConfig(line_size=16, num_sets=8, assoc=2)
     a_state, b_state = CacheState(cfg), CacheState(cfg)
     addrs = [rng.randrange(0, 4096) for _ in range(500)]
-    singles = sum(a_state.access(a) for a in addrs)
-    res = b_state.access_all(addrs)
-    assert res == SimResult(singles, len(addrs) - singles, res.cycles)
+    singles = sum(a_state.access_all((a,)) for a in addrs)
+    assert b_state.access_all(addrs) == singles
     assert (a_state.hits, a_state.misses) == (b_state.hits, b_state.misses)
 
 
@@ -251,7 +253,7 @@ def test_walk_matches_full_replay_and_oracle(assoc):
             if op == "walk":
                 got = st.walk(ws)
                 assert got == twin.access_all(walk_addrs)
-                assert got.hits == sum(oracle.access(a) for a in walk_addrs)
+                assert got == sum(oracle.access(a) for a in walk_addrs)
             elif op == "flush":
                 for cache in (st, twin, oracle):
                     cache.flush()
@@ -259,9 +261,9 @@ def test_walk_matches_full_replay_and_oracle(assoc):
                 batch = _foreign_batch(rng, op, cfg, walk_addrs, oracle)
                 got = st.access_all(batch)
                 assert got == twin.access_all(batch)
-                assert got.hits == sum(oracle.access(a) for a in batch)
+                assert got == sum(oracle.access(a) for a in batch)
                 if op == "mru":
-                    assert got.misses == 0
+                    assert got == len(batch)
             assert (st.hits, st.misses) == (twin.hits, twin.misses)
 
 
@@ -269,14 +271,15 @@ def test_walk_pays_one_miss_for_one_evicted_line():
     cfg = CacheConfig(line_size=4, num_sets=16, assoc=1, cold_flush=False)
     ws = WorkingSet(cfg, [4 * i for i in range(8)])
     st = CacheState(cfg)
-    assert (st.walk(ws).hits, st.walk(ws).hits) == (0, 8)
+    assert (st.walk(ws), st.walk(ws)) == (0, 8)
     st.access_all([4 * 3])                  # MRU hit: changes nothing
-    assert st.walk(ws) == SimResult(8, 0, 16)
+    assert st.walk(ws) == 8
     st.access_all([4 * (16 + 3)])           # evicts the walk's line in set 3
-    assert st.walk(ws) == SimResult(7, 1, 7 * 2 + 50)
-    assert st.walk(ws) == SimResult(8, 0, 16)
+    assert st.walk(ws) == 7
+    assert cfg.cycles(7, 8) == 7 * 2 + 50 and cfg.cycles(8, 8) == 16
+    assert st.walk(ws) == 8
     st.flush()
-    assert st.walk(ws).misses == 8
+    assert st.walk(ws) == 0
     assert (st.hits, st.misses) == (8 + 8 + 7 + 8 + 1, 8 + 1 + 8 + 1)
 
 

@@ -133,9 +133,10 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
                 want = run_encryption(
                     bare_cache, layout.resolve(trace),
                     layout.resolve(disturbance.extra_accesses), disturbance.extra_cycles,
-                ).cycles
+                )
                 if cfg.timing_scope == "whole_handler":
-                    want += parse.cycles + scratch.cycles
+                    want += cfg.cache.cycles(parse, len(backend.parse_addrs))
+                    want += cfg.cache.cycles(scratch, len(backend.scratch_addrs))
                 assert got == want, (name, kind)
             assert (backend.cache.hits, backend.cache.misses) == (
                 bare_cache.hits, bare_cache.misses), (name, kind)

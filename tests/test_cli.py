@@ -17,6 +17,7 @@ import pytest
 from ctlab import aes
 from ctlab import attack as atk
 from ctlab import harness as hn
+from ctlab import keysearch
 from ctlab.channel import ChannelConfig, UdpOracle, start_server_thread
 from ctlab.cli import build_parser, main
 
@@ -373,8 +374,13 @@ def test_bench_rate_verb(capsys):
     assert "alpha=" in printed and "size=10000" in printed
 
 
-@pytest.mark.parametrize("size", [257, 2**61 - 1])  # primes above 256
-def test_unshapeable_bench_size_fails_in_one_line(capsys, size):
+# primes above 256, and a shapeable size past the largest reference size
+@pytest.mark.parametrize("size", [257, 2**61 - 1, 2**61])
+def test_unshapeable_bench_size_fails_in_one_line(capsys, monkeypatch, size):
+    def no_chunk(*args):
+        raise AssertionError("a chunk was enumerated")
+
+    monkeypatch.setattr(keysearch, "_chunk_keys", no_chunk)
     start = time.monotonic()
     assert main(["bench-rate", "--sizes", str(size)]) == 1
     assert time.monotonic() - start < 5

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -126,6 +127,35 @@ def test_thread_count_does_not_change_result():
     assert all(aes.encrypt(pt, rk) == ct for pt, ct in pairs)
 
 
+def test_threads_are_capped_at_the_cpu_count(monkeypatch):
+    started = []
+
+    class SerialPool:  # records the pool size asked for; starts no thread
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ks, "ThreadPoolExecutor", SerialPool)
+    key = bytes(range(16))
+    # 512 keys in 32 chunks, the true key last
+    values = [[key[j]] for j in range(13)] + [
+        [(key[j] + d) % 256 for d in range(1, 8)] + [key[j]] for j in range(13, 16)
+    ]
+    outcome = ks.brute_force(_report_for(values), _pairs_for(key), threads=10**5,
+                             chunk_size=16)
+    assert outcome.found == key and outcome.keys_tested == 512
+    cpus = os.cpu_count() or 1
+    assert started == ([cpus] if cpus > 1 else [])
+
+
 def test_score_order_sets_rank():
     key = bytes([5] * 16)
     values = [[200, key[j], 90] if j == 15 else [key[j]] for j in range(16)]
@@ -153,6 +183,19 @@ def test_space_past_2_62_is_refused_before_any_chunk(monkeypatch):
     assert report.keyspace_size == 1 << 64
     with pytest.raises(ks.SearchError):
         ks.brute_force(report, _pairs_for(bytes(16)))
+
+
+def test_bench_sizes_are_all_checked_before_any_is_measured(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk was enumerated")
+
+    monkeypatch.setattr(ks, "_chunk_keys", no_chunk)
+    largest = ks.REFERENCE_SEARCH_TIMINGS[-1][0]
+    for sizes in ([100, 2**61], [100, 257], [largest + 1]):
+        with pytest.raises(ks.SearchError, match=str(sizes[-1])):
+            ks.measure_search_rate(sizes)
+    with pytest.raises(AssertionError, match="a chunk was enumerated"):
+        ks.measure_search_rate([largest])  # the largest reference size is allowed
 
 
 def test_no_match_space_shape():

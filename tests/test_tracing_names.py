@@ -46,6 +46,7 @@ def test_benchmark_spans_cover_a_request_and_a_search():
     assert outcome.found == KEY and outcome.keys_tested == 2
     assert {
         "aes.encrypt_traced",
+        "cachesim.access_all",
         "cachesim.run_encryption",
         "countermeasures.apply.prefetch",
         "keysearch.expand_batch",
