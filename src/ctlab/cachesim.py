@@ -6,14 +6,13 @@ set as a most-recently-used-last list of block numbers, so equal blocks
 are equal (tag, set) pairs and no separate tag math is needed. The
 model counts hits; CacheConfig.cycles alone prices a hit count in cycles.
 
-run_encryption replays one encryption's table byte addresses (aes.encrypt
-records them from a layout's rows), optionally interleaving extra
-addresses, and returns the replay's cycles plus any flat extra cycles.
-It knows nothing of layouts: whoever placed the addresses also places
-the extra ones. MemoryLayout.resolve is the one (table, index) -> address
-mapping; a server uses it once, when it builds its countermeasure state,
-and no request maps entries. PACKED_LAYOUT and PARTITIONED_LAYOUT are
-the only two layouts in use.
+run_encryption replays one encryption's table byte addresses, optionally
+interleaving extra addresses, and returns the replay's cycles plus any
+flat extra cycles. It knows nothing of layouts: a MemoryLayout's rows
+place entry (t, i) at rows[t][i], and a server hands that one record both
+to aes.encrypt, which traces by it, and to countermeasures.make_state,
+which places its prefetch runs by it once. PACKED_LAYOUT and
+PARTITIONED_LAYOUT are the only two layouts in use.
 
 CacheState.walk replays a fixed address sequence (a WorkingSet)
 incrementally, and exactly. Under LRU, replaying a sequence on the state
@@ -32,11 +31,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .aes import TABLE_BYTES, TABLE_IDS
+from .aes import TABLE_BYTES
 
 
 class LayoutError(ValueError):
-    """Raised for addresses or indices outside the configured table regions."""
+    """Raised for table bases that are negative or overlap."""
 
 
 def _is_pow2(n: int) -> bool:
@@ -71,8 +70,7 @@ class MemoryLayout:
     """Byte base addresses for Te0..Te4; each table occupies 1024 bytes.
 
     rows[t][i] is the byte address of index i of table t, the record
-    aes.encrypt takes to trace addresses; resolve maps (table, index)
-    entries to the same addresses.
+    aes.encrypt and countermeasures.make_state place entries by.
     """
 
     def __init__(self, bases: tuple[int, int, int, int, int]) -> None:
@@ -85,16 +83,6 @@ class MemoryLayout:
                 raise LayoutError("table regions overlap")
         self.bases = tuple(bases)
         self.rows = tuple(tuple(b + 4 * i for i in range(256)) for b in self.bases)
-        # (table, index) -> byte address, for every valid trace entry
-        self.addresses = {(t, i): self.rows[t][i] for t in TABLE_IDS for i in range(256)}
-
-    def resolve(self, entries: Sequence[tuple[int, int]]) -> list[int]:
-        """Byte addresses of (table, index) entries; LayoutError on any outside the tables."""
-        table = self.addresses
-        try:
-            return [table[entry] for entry in entries]
-        except KeyError as exc:
-            raise LayoutError(f"trace entry {exc.args[0]} outside table regions") from None
 
 
 PACKED_BASE = 0x40000
@@ -162,7 +150,7 @@ class CacheState:
         self._last_walk = None
 
     def access_all(self, addresses: Sequence[int]) -> int:
-        """Touch a pre-resolved address list in order, LRU within each set;
+        """Touch a placed address list in order, LRU within each set;
         returns how many of the accesses hit."""
         shift, mask, assoc = self._line_shift, self._set_mask, self.config.assoc
         sets = self._sets

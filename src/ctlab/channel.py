@@ -10,16 +10,18 @@ logged; the server never dies on malformed input.
 
 ServerSettings declares each server setting but the key once; ChannelConfig
 adds the key, and harness.ExperimentConfig the rest of an experiment.
+packet_size runs from HEADER_LEN to MAX_PACKET_SIZE, the largest UDP
+payload over IPv4.
 
 Two interchangeable backends answer timing requests. The native backend
 times real encryptions with the highest-resolution monotonic counter
 available (perf_counter_ns). The simulated backend fixes its table
 layout (countermeasures.table_layout) and builds its countermeasure
-state under it (countermeasures.make_state, seeded with prng_seed) once,
-when it is built. It traces each encryption as byte addresses from the
-layout's rows, replays them and the countermeasure's addresses through
-the deterministic cache model with run_encryption, and reports exactly
-the cycles it returns under encrypt_only scope.
+state (countermeasures.make_state, seeded with prng_seed) once, when it
+is built. The layout's rows place every table access: each encryption's
+trace and, once, the prefetch runs, as byte addresses. It replays both
+through the deterministic cache model with run_encryption, and reports
+exactly the cycles it returns under encrypt_only scope.
 
 The simulated handler also walks its own working set through the same
 cache on every request: the datagram buffer (packet_size bytes at a
@@ -59,6 +61,7 @@ MSG_CIPHERTEXT = 0x02
 RESP_FLAG = 0x80
 HEADER_LEN = 17
 DEFAULT_PACKET_SIZE = 800
+MAX_PACKET_SIZE = 65507  # largest UDP payload over IPv4
 DEFAULT_PORT = 41717
 
 PARSE_BASE = 0xA01800    # receive buffer
@@ -131,8 +134,8 @@ class ServerSettings:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.timing_scope not in ("encrypt_only", "whole_handler"):
             raise ValueError(f"unknown timing_scope {self.timing_scope!r}")
-        if self.packet_size < HEADER_LEN:
-            raise ValueError("packet_size below header length")
+        if not HEADER_LEN <= self.packet_size <= MAX_PACKET_SIZE:
+            raise ValueError(f"packet_size must be within {HEADER_LEN}..{MAX_PACKET_SIZE}")
         if self.scratch_lines < 0 or self.scratch_lines > self.cache.num_sets:
             raise ValueError("scratch_lines must be within 0..num_sets")
         if SCRATCH_BASE + self.cache.line_size * self.cache.num_sets > PARSE_BASE:
@@ -174,7 +177,7 @@ class SimulatedBackend:
         self.cache = CacheState(config.cache)
         self.kind = config.countermeasure
         self.layout = table_layout(config.countermeasure)
-        self.cm_state = make_state(config.countermeasure, config.prng_seed, self.layout)
+        self.cm_state = make_state(config.countermeasure, config.prng_seed, self.layout.rows)
         parse, scratch, self.working_set = _handler_working_set(
             config.cache, config.packet_size, config.scratch_lines, config.scratch_seed
         )

@@ -11,7 +11,8 @@ from random import Random
 
 from . import attack as atk
 from . import harness, keysearch
-from .channel import DEFAULT_PACKET_SIZE, DEFAULT_PORT, HEADER_LEN, TimingServer, UdpOracle
+from .channel import (DEFAULT_PACKET_SIZE, DEFAULT_PORT, HEADER_LEN, MAX_PACKET_SIZE, TimingServer,
+                      UdpOracle)
 
 
 def _integer(low: int, high: float = math.inf):
@@ -68,6 +69,8 @@ def _pair(text: str) -> tuple[bytes, bytes]:
 
 def _size(text: str) -> int:
     value = _number(1)(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}")
     # an integer stays exact: float() rounds any above 2**53
     return int(text) if text.strip().isdigit() else int(value)
 
@@ -265,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_integer(1), required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--packet-size", type=_integer(HEADER_LEN), default=DEFAULT_PACKET_SIZE)
+    p.add_argument("--packet-size", type=_integer(HEADER_LEN, MAX_PACKET_SIZE),
+                   default=DEFAULT_PACKET_SIZE)
     p.add_argument("--timeout", type=_number(0, above=True), default=1.0,
                    help="seconds per attempt")
     p.add_argument("--retries", type=_integer(0), default=5)

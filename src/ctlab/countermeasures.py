@@ -6,8 +6,12 @@ partitioning instead fixes where a server places its tables, once
 (table_layout). Ciphertexts are never touched, so every variant is
 semantics-preserving by construction.
 
-A server builds its countermeasure's state once (make_state): random_loop's
-seeded PRNG, or prefetch's 16 fixed runs, placed under the server's layout.
+Each countermeasure's behaviour lives in two places: make_state builds
+the state a server keeps (random_loop's seeded PRNG, specified_loop's
+generator, prefetch's 16 fixed runs), once, and apply adds what one
+request costs. make_state places each prefetch entry (t, i) as
+record[t][i], the rule aes.encrypt traces by: the default aes.PAIRS keeps
+(table, index) pairs, and a layout's rows give byte addresses.
 
 In native mode the same reports drive real executed code (a busy loop,
 actual table reads) inside the timed window; see execute_disturbance.
@@ -21,9 +25,9 @@ from __future__ import annotations
 import enum
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .aes import TTABLES
+from .aes import PAIRS, TTABLES
 from .cachesim import PACKED_LAYOUT, PARTITIONED_LAYOUT, MemoryLayout
 
 
@@ -33,10 +37,6 @@ class Kind(enum.Enum):
     SPECIFIED_LOOP = "specified_loop"
     PREFETCH = "prefetch"
     CACHE_PARTITION = "cache_partition"
-
-
-class StateError(ValueError):
-    """Countermeasure state object does not match the requested kind."""
 
 
 # Flat cycle charges for disturbance work outside the cache model.
@@ -69,25 +69,18 @@ class SpecifiedLoopState:
 
 @dataclass
 class PrefetchState:
+    runs: tuple  # the 16 runs apply() hands out, placed by make_state
     window_start: int = 0
-    # the 16 runs apply() hands out; make_state places them under a layout
-    runs: tuple = field(init=False, repr=False, default=PREFETCH_RUNS)
-
-    def __post_init__(self) -> None:
-        if self.window_start % PREFETCH_WINDOW or not 0 <= self.window_start < 256:
-            raise ValueError("window_start must be a multiple of 16 below 256")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisturbanceReport:
     extra_cycles: int = 0
-    extra_accesses: Sequence = ()  # (table, index) entries, or addresses once placed
+    extra_accesses: Sequence = ()  # entries of the record make_state placed runs by
     loop_count: int = 0  # dummy-loop iterations the native path executes
 
 
-def random_loop_next(rng: random.Random) -> int:
-    """Draw the per-encryption dummy-loop iteration count, 0..19."""
-    return rng.randrange(RANDOM_LOOP_BOUND)
+NO_DISTURBANCE = DisturbanceReport()
 
 
 def specified_loop_next(state: SpecifiedLoopState) -> int:
@@ -105,76 +98,45 @@ def specified_loop_next(state: SpecifiedLoopState) -> int:
     return nxt
 
 
-def prefetch_next(state: PrefetchState) -> list[tuple[int, int]]:
-    """Return the current 16-entry window across Te0..Te3, then advance.
-
-    One window is 64 accesses (16 consecutive indices on each of the
-    four main-round tables); 16 consecutive windows sweep every index
-    of every table exactly once.
-    """
-    start = state.window_start
-    window = [
-        (tid, (start + i) % 256) for tid in range(4) for i in range(PREFETCH_WINDOW)
-    ]
-    state.window_start = (start + PREFETCH_WINDOW) % 256
-    return window
-
-
-def random_loop_cycles(n: int) -> int:
-    return RNG_CYCLES + n * LOOP_ITER_CYCLES
-
-
-def specified_loop_cycles(count: int) -> int:
-    return DIV_CYCLES + count * LOOP_ITER_CYCLES
-
-
-# The state object each stateful kind carries between encryptions.
-_STATE_TYPES = {Kind.RANDOM_LOOP: random.Random, Kind.SPECIFIED_LOOP: SpecifiedLoopState,
-                Kind.PREFETCH: PrefetchState}
-
-
 def table_layout(kind: Kind) -> MemoryLayout:
     """Where a server running kind places its tables, for its whole life."""
     return PARTITIONED_LAYOUT if kind is Kind.CACHE_PARTITION else PACKED_LAYOUT
 
 
-def make_state(kind: Kind, seed: int | None = None, layout: MemoryLayout | None = None):
+def make_state(kind: Kind, seed: int | None = None, record: Sequence = PAIRS):
     """Fresh per-server countermeasure state; None for stateless kinds.
 
     random_loop's state is random.Random(seed); a None seed seeds from the
-    system. Under a layout, prefetch's runs are placed once, as byte
-    addresses (LayoutError on an entry outside the tables).
+    system. prefetch's runs hold record[t][i] for each entry (t, i), the
+    rule aes.encrypt traces by (IndexError on an entry outside the tables).
     """
     if kind is Kind.RANDOM_LOOP:
         return random.Random(seed)
-    state_type = _STATE_TYPES.get(kind)
-    state = None if state_type is None else state_type()
-    if kind is Kind.PREFETCH and layout is not None:
-        state.runs = tuple(tuple(layout.resolve(run)) for run in PREFETCH_RUNS)
-    return state
+    if kind is Kind.SPECIFIED_LOOP:
+        return SpecifiedLoopState()
+    if kind is Kind.PREFETCH:
+        return PrefetchState(tuple(tuple(record[t][i] for t, i in run) for run in PREFETCH_RUNS))
+    return None
 
 
 def apply(kind: Kind, state=None) -> DisturbanceReport:
-    """Produce one encryption's disturbance for the given countermeasure."""
-    expected = _STATE_TYPES.get(kind)
-    if expected is None and state is not None:
-        raise StateError(f"{kind.value} takes no state, got {type(state).__name__}")
-    if expected is not None and not isinstance(state, expected):
-        raise StateError(f"{kind.value} requires {expected.__name__}")
-    if kind in (Kind.NONE, Kind.CACHE_PARTITION):
-        return DisturbanceReport()
+    """Produce one encryption's disturbance for the given countermeasure.
+
+    state is what make_state built for the same kind; none and
+    cache_partition add nothing.
+    """
     if kind is Kind.RANDOM_LOOP:
-        n = random_loop_next(state)
-        return DisturbanceReport(extra_cycles=random_loop_cycles(n), loop_count=n)
+        n = state.randrange(RANDOM_LOOP_BOUND)
+        return DisturbanceReport(RNG_CYCLES + n * LOOP_ITER_CYCLES, loop_count=n)
     if kind is Kind.SPECIFIED_LOOP:
-        count = specified_loop_next(state)
-        return DisturbanceReport(extra_cycles=specified_loop_cycles(count), loop_count=count)
+        n = specified_loop_next(state)
+        return DisturbanceReport(DIV_CYCLES + n * LOOP_ITER_CYCLES, loop_count=n)
     if kind is Kind.PREFETCH:
         run = state.runs[state.window_start // PREFETCH_WINDOW]
         # five windows, one per main-loop iteration
         state.window_start = (state.window_start + 5 * PREFETCH_WINDOW) % 256
         return DisturbanceReport(extra_accesses=run)
-    raise StateError(f"unknown countermeasure kind {kind!r}")
+    return NO_DISTURBANCE
 
 
 def execute_disturbance(kind: Kind, state=None) -> None:
@@ -182,7 +144,8 @@ def execute_disturbance(kind: Kind, state=None) -> None:
 
     The busy loop and table reads execute here so a hardware timer sees
     them; what they do is apply()'s report for the same kind and state,
-    built by make_state without a layout.
+    built by make_state with the default record, so its runs are
+    (table, index) pairs.
     """
     report = apply(kind, state)
     acc = 0

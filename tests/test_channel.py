@@ -73,6 +73,10 @@ def test_config_validation():
         _cfg(backend="quantum")
     with pytest.raises(ValueError):
         _cfg(packet_size=5)
+    # the largest UDP payload over IPv4; settings only, so no buffer is built
+    assert ch.ServerSettings(packet_size=65507).packet_size == ch.MAX_PACKET_SIZE
+    with pytest.raises(ValueError, match="packet_size"):
+        ch.ServerSettings(packet_size=65508)
     with pytest.raises(ValueError):
         _cfg(scratch_lines=100000)
     with pytest.raises(ValueError):
@@ -118,9 +122,13 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
             backend = ch.SimulatedBackend(cfg)
             bare_cache = CacheState(cfg.cache)
             # random_loop's state is the bare pipeline's own PRNG; prefetch's
-            # runs stay (table, index) entries, resolved below on each request
+            # runs stay (table, index) entries, placed below on each request
             cm_state = random.Random(cfg.prng_seed) if kind is Kind.RANDOM_LOOP else make_state(kind)
             layout = table_layout(kind)
+
+            def place(entries):
+                return [layout.bases[t] + 4 * i for t, i in entries]
+
             rng = random.Random(12)
             for _ in range(40):
                 pt = rng.randbytes(16)
@@ -131,8 +139,8 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
                 trace: list[tuple[int, int]] = []
                 aes.encrypt(pt, rk, trace=trace)
                 want = run_encryption(
-                    bare_cache, layout.resolve(trace),
-                    layout.resolve(disturbance.extra_accesses), disturbance.extra_cycles,
+                    bare_cache, place(trace), place(disturbance.extra_accesses),
+                    disturbance.extra_cycles,
                 )
                 if cfg.timing_scope == "whole_handler":
                     want += cfg.cache.cycles(parse, len(backend.parse_addrs))
@@ -144,28 +152,11 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
 
 def test_bad_countermeasure_access_fails_when_the_server_is_built(monkeypatch):
     from ctlab import countermeasures as cm
-    from ctlab.cachesim import LayoutError
 
     bad = ((0, 1),) * 319 + ((0, 300),)
     monkeypatch.setattr(cm, "PREFETCH_RUNS", (bad,) * 16)
-    with pytest.raises(LayoutError):
+    with pytest.raises(IndexError):
         ch.SimulatedBackend(_cfg(countermeasure=Kind.PREFETCH))
-
-
-def test_prefetch_requests_map_no_table_entries(monkeypatch):
-    from ctlab.cachesim import MemoryLayout
-
-    cfg = _cfg(countermeasure=Kind.PREFETCH, scratch_lines=16)
-    reference, backend = ch.SimulatedBackend(cfg), ch.SimulatedBackend(cfg)
-    rng = random.Random(5)
-    pts = [rng.randbytes(16) for _ in range(32)]
-    want = [reference.handle(pt)[0] for pt in pts]
-
-    def no_resolve(self, entries):
-        raise AssertionError("a request mapped (table, index) entries")
-
-    monkeypatch.setattr(MemoryLayout, "resolve", no_resolve)
-    assert [backend.handle(pt)[0] for pt in pts] == want
 
 
 @pytest.mark.parametrize("kind", list(Kind))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import signal
@@ -10,10 +13,12 @@ import socket
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 
+import ctlab
 from ctlab import aes
 from ctlab import attack as atk
 from ctlab import harness as hn
@@ -63,6 +68,7 @@ def test_parser_rejects_bad_values():
     ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--retries", "-1"],
     ["collect", "--endpoint", "h:1", "--samples", "0", "--out", "x.csv"],
     ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--packet-size", "16"],
+    ["collect", "--endpoint", "h:1", "--samples", "1", "--out", "x.csv", "--packet-size", "65508"],
     ["search", "--candidates", "c.csv", "--pair", "00" * 16 + ":" + "00" * 16, "--threads", "0"],
     ["search", "--candidates", "c.csv", "--pair", "00" * 16 + ":" + "00" * 16, "--chunk", "0"],
     ["bench-rate", "--threads", "0"],
@@ -84,12 +90,14 @@ def test_parser_rejects_bad_values():
      "--study-key", "00" * 16, "--retention", "nan"],
     ["bench-rate", "--sizes", "0"],
     ["bench-rate", "--sizes", "1e4,-5"],
+    ["bench-rate", "--sizes", "1.5"],
     ["bench-rate", "--fit-min", "nan"],
-], ids=["retries", "samples", "packet-size", "search-threads", "chunk", "bench-threads", "not-int",
+], ids=["retries", "samples", "packet-size", "packet-size-max", "search-threads", "chunk", "bench-threads", "not-int",
         "timeout-zero", "timeout-negative", "timeout-nan", "serve-port-high", "serve-port-negative",
         "endpoint-port-high", "endpoint-port-negative", "endpoint-port-zero",
         "study-key-not-hex", "study-key-short",
-        "retention-negative", "retention-nan", "sizes-zero", "sizes-negative", "fit-min-nan"])
+        "retention-negative", "retention-nan", "sizes-zero", "sizes-negative", "sizes-fraction",
+        "fit-min-nan"])
 def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
@@ -109,6 +117,7 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, line):
 @pytest.mark.parametrize("named, argv", [
     ("attack", ["serve", "--config", "{attack}", "--set", "backend=nativ", "--port", "0"]),
     ("attack", ["experiment", "--config", "{attack}", "--set", "packet_size=3"]),
+    ("attack", ["experiment", "--config", "{attack}", "--set", "packet_size=65508"]),
     ("attack", ["experiment", "--config", "{attack}", "--set", "line_size=64",
                 "--set", "num_sets=65536"]),
     ("missing", ["experiment", "--config", "{missing}"]),
@@ -129,7 +138,7 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, line):
                                "--set", "countermeasure=bogus"]),
     ("attack:study_key", ["experiment", "--config", "{attack}", "--set", "study_key=zz"]),
     ("attack:spread", ["serve", "--config", "{attack}", "--set", "spread=x", "--port", "0"]),
-], ids=["backend", "packet-size", "address-map",
+], ids=["backend", "packet-size", "packet-size-max", "address-map",
         "experiment-missing", "serve-missing", "experiment-malformed", "serve-malformed",
         "correlate-missing", "correlate-bad-header", "correlate-no-samples",
         "search-bad-csv", "search-missing", "report-bad-csv",
@@ -402,6 +411,30 @@ def test_readme_commands_parse():
     assert len(commands) >= 10
     for line in commands:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_dotted_names_resolve():
+    # every backticked dotted name in README whose first part is ctlab, a
+    # ctlab module or a public name of one; a trailing call is allowed
+    modules = {m.name: importlib.import_module(f"ctlab.{m.name}")
+               for m in pkgutil.iter_modules(ctlab.__path__)}
+    roots = {"ctlab": ctlab, **modules}
+    for module in modules.values():
+        for name, value in vars(module).items():
+            if not name.startswith("_") and not isinstance(value, types.ModuleType):
+                roots.setdefault(name, value)
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", text)
+    checked = [name for name in names if name.split(".")[0] in roots]
+    assert len(checked) >= 20
+    missing = []
+    for name in checked:
+        first, *rest = name.split(".")
+        try:
+            functools.reduce(getattr, rest, roots[first])
+        except AttributeError:
+            missing.append(name)
+    assert not missing
 
 
 def test_serve_subprocess_roundtrip(tmp_path, config_file):

@@ -52,6 +52,9 @@ def test_benchmark_spans_cover_a_request_and_a_search():
         "keysearch.expand_batch",
         "keysearch.encrypt_batch",
     } <= set(tracer.names)
+    # the one prefetch request injected its 320 accesses, the count
+    # behind countermeasures.extra_accesses_per_request
+    assert tracer.counts["countermeasures.apply.prefetch"] == 320
     assert channel.encrypt is aes.encrypt
     assert keysearch.expand_batch is aes.expand_batch
     assert keysearch.encrypt_batch is aes.encrypt_batch
