@@ -28,6 +28,11 @@ VALUES = 256
 PROFILE_HEADER = ("position", "value", "count", "sum_cycles", "sumsq_cycles")
 CANDIDATE_HEADER = ("position", "value", "score")
 
+# A position's sample and cycle totals stay below this, so every cell
+# converts to float64, and correlate's scores (sums of 256 products of
+# deviations, each under its total) and their spread stay finite.
+MAX_TOTAL = 1 << 200
+
 
 class ChannelError(RuntimeError):
     """An oracle could not deliver a measurement.
@@ -131,11 +136,12 @@ class SignatureMatrix:
     """Centered per-position timing curves: mean[j][v] - mean[j]."""
 
     deviations: np.ndarray
-    counts: np.ndarray
     empty_buckets: int
 
 
 def signature(profile: TimingProfile) -> SignatureMatrix:
+    if any(sum(row) >= MAX_TOTAL for table in (profile.counts, profile.sums) for row in table):
+        raise ProfileError("profile totals too large for float64 correlation")
     counts = np.array(profile.counts, dtype=np.float64)
     sums = np.array(profile.sums, dtype=np.float64)
     per_position = counts.sum(axis=1)
@@ -145,7 +151,7 @@ def signature(profile: TimingProfile) -> SignatureMatrix:
     overall = sums.sum(axis=1) / per_position
     deviations = np.where(counts > 0, means - overall[:, None], 0.0)
     empty = int((counts == 0).sum())
-    return SignatureMatrix(deviations, counts.astype(np.int64), empty)
+    return SignatureMatrix(deviations, empty)
 
 
 def correlate(

@@ -6,17 +6,19 @@ Wire format (datagrams):
   payload   : type 0x01 -> cycles as 8-byte little-endian unsigned
               type 0x02 -> 16-byte ciphertext
 Anything shorter than 17 bytes or with an unknown type is dropped and
-logged; the server never dies on malformed input.
+logged; the server never dies on malformed input. A byte-identical
+repeat of the last answered datagram from the same peer (a client's
+retransmission) gets the stored reply again, without a second request to
+the backend, so a retry never moves the server's cache or countermeasure
+state twice.
 
 ServerSettings declares each server setting but the key once; ChannelConfig
 adds the key, and harness.ExperimentConfig the rest of an experiment.
 packet_size runs from HEADER_LEN to MAX_PACKET_SIZE, the largest UDP
 payload over IPv4.
 
-Two interchangeable backends answer timing requests. The native backend
-times real encryptions with the highest-resolution monotonic counter
-available (perf_counter_ns). The simulated backend fixes its table
-layout (countermeasures.table_layout) and builds its countermeasure
+One backend answers timing requests: SimulatedBackend. It fixes its
+table layout (countermeasures.table_layout) and builds its countermeasure
 state (countermeasures.make_state, seeded with prng_seed) once, when it
 is built. The layout's rows place every table access: each encryption's
 trace and, once, the prefetch runs, as byte addresses. It replays both
@@ -52,7 +54,7 @@ from functools import lru_cache
 from .aes import encrypt, expand_key
 from .attack import ChannelError
 from .cachesim import CacheConfig, CacheState, WorkingSet, run_encryption
-from .countermeasures import Kind, apply, execute_disturbance, make_state, table_layout
+from .countermeasures import Kind, apply, make_state, table_layout
 
 log = logging.getLogger("ctlab.channel")
 
@@ -121,17 +123,14 @@ class ServerSettings:
     """Every setting of a timing server but its key: name, default, check."""
 
     countermeasure: Kind = Kind.NONE
-    backend: str = "simulated"            # simulated | native
     packet_size: int = DEFAULT_PACKET_SIZE
     timing_scope: str = "encrypt_only"    # encrypt_only | whole_handler
     cache: CacheConfig = CacheConfig()
     scratch_lines: int = 0
     scratch_seed: int = 1
-    prng_seed: int | None = 1             # None -> wall-clock seeding (native live mode)
+    prng_seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in ("simulated", "native"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.timing_scope not in ("encrypt_only", "whole_handler"):
             raise ValueError(f"unknown timing_scope {self.timing_scope!r}")
         if not HEADER_LEN <= self.packet_size <= MAX_PACKET_SIZE:
@@ -199,35 +198,8 @@ class SimulatedBackend:
         return encrypt(plaintext, self.round_keys)
 
 
-class NativeBackend:
-    """Times real encryptions with the monotonic nanosecond counter."""
-
-    def __init__(self, config: ChannelConfig) -> None:
-        self.config = config
-        self.round_keys = expand_key(config.key)
-        self.kind = config.countermeasure
-        self.cm_state = make_state(config.countermeasure, config.prng_seed)
-
-    def handle(self, plaintext: bytes) -> tuple[int, bytes]:
-        whole = self.config.timing_scope == "whole_handler"
-        buf = bytes(self.config.packet_size)
-        start = time.perf_counter_ns()
-        if whole:
-            acc = 0
-            for b in buf:
-                acc ^= b
-        execute_disturbance(self.kind, self.cm_state)
-        ct = encrypt(plaintext, self.round_keys)
-        return time.perf_counter_ns() - start, ct
-
-    def ciphertext(self, plaintext: bytes) -> bytes:
-        return encrypt(plaintext, self.round_keys)
-
-
-def make_backend(config: ChannelConfig):
-    if config.backend == "simulated":
-        return SimulatedBackend(config)
-    return NativeBackend(config)
+def make_backend(config: ChannelConfig) -> SimulatedBackend:
+    return SimulatedBackend(config)
 
 
 class TimingServer:
@@ -247,6 +219,8 @@ class TimingServer:
         self.requests_served = 0
         self.dropped = 0
         self.errors = 0  # requests that failed in the backend or on send
+        self._last_request: tuple | None = None  # (peer, datagram) last answered
+        self._last_reply = b""
         self._stop = threading.Event()
 
     def serve_forever(self) -> None:
@@ -263,27 +237,34 @@ class TimingServer:
                 self.errors += 1
                 log.exception("receive failed")
                 continue
-            try:
-                msg_type, pt = decode_request(datagram)
-            except WireError as exc:
-                self.dropped += 1
-                log.warning("dropped datagram from %s: %s", peer, exc)
-                continue
-            try:
-                if msg_type == MSG_TIMING:
-                    cycles, _ = self.backend.handle(pt)
-                    payload = struct.pack("<Q", cycles)
-                else:
-                    payload = self.backend.ciphertext(pt)
-            except Exception:
-                self.errors += 1
-                log.exception("request from %s failed", peer)
-                continue
+            if (peer, datagram) == self._last_request:
+                reply = self._last_reply
+            else:
+                try:
+                    msg_type, pt = decode_request(datagram)
+                except WireError as exc:
+                    self.dropped += 1
+                    log.warning("dropped datagram from %s: %s", peer, exc)
+                    continue
+                try:
+                    if msg_type == MSG_TIMING:
+                        cycles, _ = self.backend.handle(pt)
+                        payload = struct.pack("<Q", cycles)
+                    else:
+                        payload = self.backend.ciphertext(pt)
+                except Exception:
+                    self.errors += 1
+                    log.exception("request from %s failed", peer)
+                    continue
+                reply = encode_response(msg_type, pt, payload)
+                # stored before it is sent, so a retry after a failed send
+                # gets this reply too
+                self._last_request, self._last_reply = (peer, datagram), reply
             # counted before the reply leaves, so a stop that follows the
             # client's receipt of the reply cannot miss it
             self.requests_served += 1
             try:
-                self.sock.sendto(encode_response(msg_type, pt, payload), peer)
+                self.sock.sendto(reply, peer)
             except OSError:
                 self.requests_served -= 1
                 self.errors += 1

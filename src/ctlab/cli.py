@@ -126,8 +126,7 @@ def cmd_serve(args) -> int:
         return 1
     host, port = server.address
     # flushed so wrappers reading a pipe see the port immediately
-    print(f"serving {config.backend} backend ({args.role} key) on {host}:{port}",
-          flush=True)
+    print(f"serving {config.countermeasure.value} ({args.role} key) on {host}:{port}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -204,7 +203,7 @@ def cmd_experiment(args) -> int:
     _write(harness.emit_report(reports, args.format), args.out)
     failed = [r for r in reports if r.failed_stage]
     for r in reports:
-        for note in (r.caveat, r.hardware_note, r.failed_stage):
+        for note in (r.caveat, r.failed_stage):
             if note:
                 print(f"note[{r.countermeasure}]: {note}", file=sys.stderr)
         if r.found_key is not None:

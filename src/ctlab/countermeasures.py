@@ -12,12 +12,6 @@ generator, prefetch's 16 fixed runs), once, and apply adds what one
 request costs. make_state places each prefetch entry (t, i) as
 record[t][i], the rule aes.encrypt traces by: the default aes.PAIRS keeps
 (table, index) pairs, and a layout's rows give byte addresses.
-
-In native mode the same reports drive real executed code (a busy loop,
-actual table reads) inside the timed window; see execute_disturbance.
-Cache partitioning is simulation-only there: CPython offers no control
-over where list storage lands, so the native variant is a documented
-no-op while table_layout carries the semantics in the simulator.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .aes import PAIRS, TTABLES
+from .aes import PAIRS
 from .cachesim import PACKED_LAYOUT, PARTITIONED_LAYOUT, MemoryLayout
 
 
@@ -77,7 +71,7 @@ class PrefetchState:
 class DisturbanceReport:
     extra_cycles: int = 0
     extra_accesses: Sequence = ()  # entries of the record make_state placed runs by
-    loop_count: int = 0  # dummy-loop iterations the native path executes
+    loop_count: int = 0  # dummy-loop iterations extra_cycles charges for
 
 
 NO_DISTURBANCE = DisturbanceReport()
@@ -103,12 +97,12 @@ def table_layout(kind: Kind) -> MemoryLayout:
     return PARTITIONED_LAYOUT if kind is Kind.CACHE_PARTITION else PACKED_LAYOUT
 
 
-def make_state(kind: Kind, seed: int | None = None, record: Sequence = PAIRS):
+def make_state(kind: Kind, seed: int = 1, record: Sequence = PAIRS):
     """Fresh per-server countermeasure state; None for stateless kinds.
 
-    random_loop's state is random.Random(seed); a None seed seeds from the
-    system. prefetch's runs hold record[t][i] for each entry (t, i), the
-    rule aes.encrypt traces by (IndexError on an entry outside the tables).
+    random_loop's state is random.Random(seed). prefetch's runs hold
+    record[t][i] for each entry (t, i), the rule aes.encrypt traces by
+    (IndexError on an entry outside the tables).
     """
     if kind is Kind.RANDOM_LOOP:
         return random.Random(seed)
@@ -137,20 +131,3 @@ def apply(kind: Kind, state=None) -> DisturbanceReport:
         state.window_start = (state.window_start + 5 * PREFETCH_WINDOW) % 256
         return DisturbanceReport(extra_accesses=run)
     return NO_DISTURBANCE
-
-
-def execute_disturbance(kind: Kind, state=None) -> None:
-    """Run the countermeasure's real work for native timing.
-
-    The busy loop and table reads execute here so a hardware timer sees
-    them; what they do is apply()'s report for the same kind and state,
-    built by make_state with the default record, so its runs are
-    (table, index) pairs.
-    """
-    report = apply(kind, state)
-    acc = 0
-    for i in range(report.loop_count):
-        acc += i
-    sink = [0] * PREFETCH_WINDOW
-    for tid, idx in report.extra_accesses:
-        sink[idx % PREFETCH_WINDOW] = TTABLES[tid][idx]

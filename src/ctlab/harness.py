@@ -1,7 +1,7 @@
 """Experiment orchestration: study/attack collection, scoring, reports.
 
-An experiment runs the full pipeline against a pair of simulated (or
-native) servers that differ only in their key: collect a profile per
+An experiment runs the full pipeline against a pair of simulated
+servers that differ only in their key: collect a profile per
 phase, correlate, extract candidates, optionally brute-force, and score
 the countermeasure by missing key bytes (m), cycle cost (c), slowdown
 (s = c / baseline c), and efficiency (m / s).
@@ -34,10 +34,6 @@ EFFICIENCY_CAVEAT = (
     "efficiency 0 is a boundary case: either every key byte survived in the "
     "candidate sets (m = 0, attack still feasible) or the variant is too slow "
     "to use (1/s = 0); judge it together with m and keyspace"
-)
-HARDWARE_NOTE = (
-    "native backend: cycle counts are machine-specific wall-clock readings, "
-    "not an acceptance target"
 )
 
 
@@ -113,8 +109,7 @@ class ExperimentConfig(ServerSettings):
         settings = {f.name: getattr(self, f.name) for f in fields(ServerSettings)}
         if kind is not None:
             settings["countermeasure"] = kind
-        if self.prng_seed is not None:
-            settings["prng_seed"] = self.prng_seed + run
+        settings["prng_seed"] = self.prng_seed + run
         return ChannelConfig(key=key, **settings)
 
 
@@ -150,7 +145,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 # (ExperimentConfig.cache) is not a config key.
 _PARSERS = {
     "bytes": bytes.fromhex, "Kind": Kind, "str": str, "int": int, "float": float,
-    "bool": _parse_bool, "int | None": lambda v: None if v.lower() == "none" else int(v),
+    "bool": _parse_bool,
 }
 _KEYS = {f.name: (cls, _PARSERS[f.type]) for cls in (ExperimentConfig, CacheConfig)
          for f in fields(cls) if f.type in _PARSERS}
@@ -185,7 +180,6 @@ class EfficiencyReport(ReportRow):
     recovered: bool | None = None
     keys_tested: int | None = None
     caveat: str | None = None
-    hardware_note: str | None = None
     failed_stage: str | None = None
 
 
@@ -207,7 +201,7 @@ def _mean_cycles(profile: atk.TimingProfile) -> float:
 def run_experiment(
     config: ExperimentConfig, *, baseline_cycles: float | None = None
 ) -> EfficiencyReport:
-    """Full pipeline for one countermeasure; deterministic when simulated.
+    """Full pipeline for one countermeasure; deterministic.
 
     ``baseline_cycles`` short-circuits the unprotected reference leg so a
     sweep can share one baseline; when absent it is collected here with
@@ -291,7 +285,6 @@ def run_experiment(
             recovered=recovered,
             keys_tested=keys_tested,
             caveat=EFFICIENCY_CAVEAT if eff == 0 else None,
-            hardware_note=HARDWARE_NOTE if config.backend == "native" else None,
         )
     except Exception as exc:  # noqa: BLE001 - partial report contract
         log.exception("experiment stage %s failed", stage)
@@ -299,7 +292,6 @@ def run_experiment(
             countermeasure=label,
             runs=config.runs,
             failed_stage=f"{stage}: {exc}",
-            hardware_note=HARDWARE_NOTE if config.backend == "native" else None,
         )
 
 

