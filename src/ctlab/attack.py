@@ -131,15 +131,9 @@ def collect_profile(
     return profile
 
 
-@dataclass(frozen=True)
-class SignatureMatrix:
-    """Centered per-position timing curves: mean[j][v] - mean[j]."""
-
-    deviations: np.ndarray
-    empty_buckets: int
-
-
-def signature(profile: TimingProfile) -> SignatureMatrix:
+def signature(profile: TimingProfile) -> np.ndarray:
+    """Centered per-position timing curves, (16, 256) float64:
+    mean[j][v] - mean[j], and 0 for a cell with no samples."""
     if any(sum(row) >= MAX_TOTAL for table in (profile.counts, profile.sums) for row in table):
         raise ProfileError("profile totals too large for float64 correlation")
     counts = np.array(profile.counts, dtype=np.float64)
@@ -149,15 +143,11 @@ def signature(profile: TimingProfile) -> SignatureMatrix:
         raise ProfileError("profile has no samples")
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     overall = sums.sum(axis=1) / per_position
-    deviations = np.where(counts > 0, means - overall[:, None], 0.0)
-    empty = int((counts == 0).sum())
-    return SignatureMatrix(deviations, empty)
+    return np.where(counts > 0, means - overall[:, None], 0.0)
 
 
-def correlate(
-    study: SignatureMatrix, study_key: bytes, attack: SignatureMatrix
-) -> np.ndarray:
-    """Score every key-byte guess against the known-key reference.
+def correlate(study: np.ndarray, study_key: bytes, attack: np.ndarray) -> np.ndarray:
+    """Score every key-byte guess between two signature arrays.
 
     The study curve at input v reflects the table index v ^ study_key[j],
     so re-indexing it by v ^ g ^ study_key[j] aligns the two curves
@@ -172,7 +162,7 @@ def correlate(
     out = np.empty((POSITIONS, VALUES), dtype=np.float64)
     for j in range(POSITIONS):
         idx = shift ^ study_key[j]
-        out[j] = study.deviations[j][idx] @ attack.deviations[j]
+        out[j] = study[j][idx] @ attack[j]
     return out
 
 

@@ -7,12 +7,13 @@ are equal (tag, set) pairs and no separate tag math is needed. The
 model counts hits; CacheConfig.cycles alone prices a hit count in cycles.
 
 run_encryption replays one encryption's table byte addresses, optionally
-interleaving extra addresses, and returns the replay's cycles plus any
-flat extra cycles. It knows nothing of layouts: a MemoryLayout's rows
-place entry (t, i) at rows[t][i], and a server hands that one record both
-to aes.encrypt, which traces by it, and to countermeasures.make_state,
-which places its prefetch runs by it once. PACKED_LAYOUT and
-PARTITIONED_LAYOUT are the only two layouts in use.
+interleaving extra addresses, and returns the replay's cycles: the model
+prices cache accesses and nothing else. It knows nothing of layouts or
+countermeasures: a MemoryLayout's rows place entry (t, i) at rows[t][i],
+and a server hands that one record both to aes.encrypt, which traces by
+it, and to countermeasures.make_state, which places its prefetch runs by
+it once. PACKED_LAYOUT and PARTITIONED_LAYOUT are the only two layouts
+in use.
 
 CacheState.walk replays a fixed address sequence (a WorkingSet)
 incrementally, and exactly. Under LRU, replaying a sequence on the state
@@ -219,13 +220,8 @@ def interleave_accesses(trace: Sequence[int], extra: Sequence[int]) -> Sequence[
     return merged
 
 
-def run_encryption(
-    state: CacheState,
-    addresses: Sequence[int],
-    extra: Sequence[int] = (),
-    extra_cycles: int = 0,
-) -> int:
-    """Replay one encryption's table addresses; returns its cycles plus extra_cycles.
+def run_encryption(state: CacheState, addresses: Sequence[int], extra: Sequence[int] = ()) -> int:
+    """Replay one encryption's table addresses; returns the replay's cycles.
 
     addresses are the encryption's 160 lookups, already placed; extra
     are countermeasure addresses, interleaved by interleave_accesses.
@@ -234,4 +230,4 @@ def run_encryption(
     if state.config.cold_flush:
         state.flush()
     replay = interleave_accesses(addresses, extra)
-    return state.config.cycles(state.access_all(replay), len(replay)) + extra_cycles
+    return state.config.cycles(state.access_all(replay), len(replay))

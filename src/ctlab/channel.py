@@ -19,11 +19,13 @@ payload over IPv4.
 
 One backend answers timing requests: SimulatedBackend. It fixes its
 table layout (countermeasures.table_layout) and builds its countermeasure
-state (countermeasures.make_state, seeded with prng_seed) once, when it
-is built. The layout's rows place every table access: each encryption's
-trace and, once, the prefetch runs, as byte addresses. It replays both
-through the deterministic cache model with run_encryption, and reports
-exactly the cycles it returns under encrypt_only scope.
+draw stream (countermeasures.make_state, seeded with prng_seed) once,
+when it is built. The layout's rows place every table access: each
+encryption's trace and, once, the prefetch runs, as byte addresses. Each
+request takes one draw, which countermeasures.apply prices. The backend
+replays the trace and any drawn accesses through the deterministic cache
+model with run_encryption, and under encrypt_only scope reports exactly
+the cycles it returns plus the draw's flat extra cycles.
 
 The simulated handler also walks its own working set through the same
 cache on every request: the datagram buffer (packet_size bytes at a
@@ -189,7 +191,7 @@ class SimulatedBackend:
         walk_hits = self.cache.walk(self.working_set)
         trace: list[int] = []
         ct = encrypt(plaintext, self.round_keys, trace, self.layout.rows)
-        cycles = run_encryption(self.cache, trace, disturbance.extra_accesses, disturbance.extra_cycles)
+        cycles = run_encryption(self.cache, trace, disturbance.extra_accesses) + disturbance.extra_cycles
         if self.config.timing_scope == "whole_handler":
             cycles += self.config.cache.cycles(walk_hits, len(self.working_set.addresses))
         return cycles, ct

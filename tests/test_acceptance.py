@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import struct
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -30,11 +31,7 @@ from ctlab.cachesim import (
     run_encryption,
 )
 from ctlab.channel import ChannelConfig, SimulatedBackend, UdpOracle, start_server_thread
-from ctlab.countermeasures import (
-    Kind,
-    SpecifiedLoopState,
-    specified_loop_next,
-)
+from ctlab.countermeasures import Kind, make_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -80,8 +77,7 @@ def test_criterion_02_countermeasures_preserve_ciphertexts():
 
 
 def test_criterion_03_specified_loop_sequence():
-    state = SpecifiedLoopState()
-    first_six = [specified_loop_next(state) for _ in range(6)]
+    first_six = list(islice(make_state(Kind.SPECIFIED_LOOP), 6))
     assert first_six == [104, 6, 0, 104, 6, 0]
     print(f"\ncriterion 3 PASS: iteration counts {first_six}")
 

@@ -119,9 +119,9 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
             cfg = _cfg(countermeasure=kind, **geometry)
             backend = ch.SimulatedBackend(cfg)
             bare_cache = CacheState(cfg.cache)
-            # random_loop's state is the bare pipeline's own PRNG; prefetch's
-            # runs stay (table, index) entries, placed below on each request
-            cm_state = random.Random(cfg.prng_seed) if kind is Kind.RANDOM_LOOP else make_state(kind)
+            # a draw stream of its own; prefetch's runs stay (table, index)
+            # entries, placed below on each request
+            cm_state = make_state(kind, cfg.prng_seed)
             layout = table_layout(kind)
 
             def place(entries):
@@ -137,9 +137,8 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
                 trace: list[tuple[int, int]] = []
                 aes.encrypt(pt, rk, trace=trace)
                 want = run_encryption(
-                    bare_cache, place(trace), place(disturbance.extra_accesses),
-                    disturbance.extra_cycles,
-                )
+                    bare_cache, place(trace), place(disturbance.extra_accesses)
+                ) + disturbance.extra_cycles
                 if cfg.timing_scope == "whole_handler":
                     want += cfg.cache.cycles(parse, len(backend.parse_addrs))
                     want += cfg.cache.cycles(scratch, len(backend.scratch_addrs))

@@ -2,17 +2,20 @@
 
 perfbench/layers.py times each layer by wrapping public ctlab names at
 run time. This loads that file and perfbench/tracer.py as they are,
-installs the tracing, serves one prefetch request and runs one tiny key
-search, and checks that every wrapped layer recorded a span. A refactor
-that renames or bypasses one of those names fails here.
+installs the tracing, serves one request under each countermeasure,
+correlates a small profile with itself and runs one tiny key search, and
+checks that every wrapped layer recorded a span. A refactor that renames
+or bypasses one of those names fails here.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import random
 from pathlib import Path
 
 from ctlab import aes, channel, keysearch
+from ctlab import attack as atk
 from ctlab.attack import CandidateReport
 from ctlab.countermeasures import Kind
 
@@ -36,25 +39,36 @@ def test_benchmark_spans_cover_a_request_and_a_search():
     patches, tracer = tracing.Patches(), tracing.Tracer()
     layers.install_tracing(patches, tracer)
     try:
-        backend = channel.SimulatedBackend(
-            channel.ChannelConfig(key=KEY, countermeasure=Kind.PREFETCH)
-        )
-        backend.handle(bytes(16))
+        for kind in Kind:
+            backend = channel.SimulatedBackend(channel.ChannelConfig(key=KEY, countermeasure=kind))
+            backend.handle(bytes(16))
+        # the last server built, cache_partition's, answers the profile
+        profile = atk.collect_profile(lambda pt: backend.handle(pt)[0], 64, random.Random(3))
+        sig = atk.signature(profile)
+        atk.candidate_sets(atk.correlate(sig, KEY, sig))
         outcome = keysearch.brute_force(report, pairs)
     finally:
         patches.undo()
     assert outcome.found == KEY and outcome.keys_tested == 2
-    assert {
+    apply_spans = {"countermeasures.apply." + kind.value for kind in Kind}
+    assert apply_spans | {
         "aes.encrypt_traced",
         "cachesim.access_all",
         "cachesim.run_encryption",
-        "countermeasures.apply.prefetch",
+        "attack.collect_profile",
+        "attack.TimingProfile.add",
+        "attack.signature",
+        "attack.correlate",
+        "attack.candidate_sets",
         "keysearch.expand_batch",
         "keysearch.encrypt_batch",
     } <= set(tracer.names)
-    # the one prefetch request injected its 320 accesses, the count
-    # behind countermeasures.extra_accesses_per_request
-    assert tracer.counts["countermeasures.apply.prefetch"] == 320
+    # each kind's apply span counts the accesses it injected, the count
+    # behind countermeasures.extra_accesses_per_request: 320 for the one
+    # prefetch request, none for the others
+    assert {span: tracer.counts[span] for span in apply_spans} == {
+        span: 320 if span.endswith(".prefetch") else 0 for span in apply_spans
+    }
     assert channel.encrypt is aes.encrypt
     assert keysearch.expand_batch is aes.expand_batch
     assert keysearch.encrypt_batch is aes.encrypt_batch
