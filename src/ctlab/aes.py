@@ -14,8 +14,11 @@ record, PAIRS, yields (table_id, index) pairs; the simulator passes a
 layout's rows instead and so records byte addresses directly.
 
 expand_batch and encrypt_batch run the same cipher over numpy for key
-search (many keys, one plaintext, no trace). Every S-box word, in the key
-schedule and the final round, is read from Te4 through byte-lane masks.
+search (many keys, one plaintext, no trace). They store words as '<u4', so
+lane 3 of a word's uint8 view is its high byte on every host, and they
+read every table index as such a byte lane, with no shift or mask: the
+Te0..Te3 rounds gather with take. Every S-box word, scalar or batch, comes
+from _sbox_word, which masks one byte out of each of four Te4 words.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ def _check16(data: bytes, what: str) -> None:
 
 
 def _sbox_word(te4, a, b, c, d):
-    """S[a], S[b], S[c], S[d] packed high lane first, read from Te4 through
-    byte-lane masks; ints with Te4 as a tuple, or index arrays with Te4 as an array."""
+    """S[a], S[b], S[c], S[d] packed high lane first, each masked out of a Te4
+    word: ints index Te4 as a tuple, byte-lane arrays index it as an array."""
     return (te4[a] & 0xFF000000) ^ (te4[b] & 0x00FF0000) ^ (te4[c] & 0x0000FF00) ^ (te4[d] & 0xFF)
 
 
@@ -172,8 +175,14 @@ def encrypt(
     return ((s0 << 96) | (s1 << 64) | (s2 << 32) | s3).to_bytes(16, "big")
 
 
-# The same five tables as one (5, 256) array, for the batch kernel.
-_TABLES = np.array(TTABLES, dtype=np.uint32)
+# The same five tables as one (5, 256) array of '<u4' words, for the batch kernel.
+_WORD = np.dtype("<u4")
+_TABLES = np.array(TTABLES, dtype=_WORD)
+
+
+def _lanes(words: np.ndarray) -> np.ndarray:
+    """The (..., 4) uint8 byte lanes of an array of '<u4' words."""
+    return words.view(np.uint8).reshape(*words.shape, 4)
 
 
 def expand_batch(keys: np.ndarray) -> np.ndarray:
@@ -182,33 +191,46 @@ def expand_batch(keys: np.ndarray) -> np.ndarray:
     if keys.ndim != 2 or keys.shape[1] != 16 or keys.dtype != np.uint8:
         raise ValueError("keys must be an (n, 16) uint8 array")
     te4 = _TABLES[TE4]
-    w = np.empty((44, len(keys)), dtype=np.uint32)
+    w = np.empty((44, len(keys)), dtype=_WORD)
     w[:4] = np.ascontiguousarray(keys).view(">u4").T
+    lanes = _lanes(w)
     for i in range(4, 44):
         t = w[i - 1]
-        if i % 4 == 0:
-            t = _sbox_word(te4, (t >> 16) & 0xFF, (t >> 8) & 0xFF, t & 0xFF, t >> 24)
+        if i % 4 == 0:  # SubWord(RotWord(t)) ^ Rcon; intp lanes index fastest
+            t = _sbox_word(te4, *(lanes[i - 1, :, j].astype(np.intp) for j in (2, 1, 0, 3)))
             t ^= RCON[i // 4 - 1] << 24
         np.bitwise_xor(w[i - 4], t, out=w[i])
     return w.T
 
 
 def encrypt_batch(plaintext: bytes, schedule: np.ndarray) -> np.ndarray:
-    """Encrypt one plaintext under many (n, 44) schedules; returns (n, 4)
-    uint32 ciphertext words."""
-    if len(plaintext) != 16:
-        raise ValueError("plaintext must be 16 bytes")
+    """Encrypt one plaintext under many (n, 44) uint32 schedules; returns
+    (n, 4) uint32 ciphertext words. Any other schedule is refused, since
+    its byte lanes would not be the words' bytes."""
+    _check16(plaintext, "plaintext")
+    if (not isinstance(schedule, np.ndarray) or schedule.ndim != 2
+            or schedule.shape[1] != 44 or schedule.dtype != _WORD):
+        raise ValueError("schedule must be an (n, 44) little-endian uint32 array")
     te0, te1, te2, te3, te4 = _TABLES
     rk = schedule.T
-    s = [rk[c] ^ int.from_bytes(plaintext[4 * c : 4 * c + 4], "big") for c in range(4)]
+    s = np.empty((4, rk.shape[1]), dtype=_WORD)
+    t = np.empty_like(s)
+    for c in range(4):
+        np.bitwise_xor(rk[c], int.from_bytes(plaintext[4 * c : 4 * c + 4], "big"), out=s[c])
     for k in range(4, 40, 4):
-        s = [
-            te0[s[c] >> 24] ^ te1[(s[(c + 1) & 3] >> 16) & 0xFF]
-            ^ te2[(s[(c + 2) & 3] >> 8) & 0xFF] ^ te3[s[(c + 3) & 3] & 0xFF] ^ rk[k + c]
-            for c in range(4)
-        ]
-    return np.stack([
-        _sbox_word(te4, s[c] >> 24, (s[(c + 1) & 3] >> 16) & 0xFF,
-                   (s[(c + 2) & 3] >> 8) & 0xFF, s[(c + 3) & 3] & 0xFF) ^ rk[40 + c]
-        for c in range(4)
-    ], axis=1)
+        # Column c reads lane 3-j of word c+j for j = 0..3 (ShiftRows).
+        lanes = _lanes(s)
+        for c in range(4):
+            np.take(te0, lanes[c, :, 3], out=t[c])
+            t[c] ^= te1.take(lanes[(c + 1) & 3, :, 2])
+            t[c] ^= te2.take(lanes[(c + 2) & 3, :, 1])
+            t[c] ^= te3.take(lanes[(c + 3) & 3, :, 0])
+            t[c] ^= rk[k + c]
+        s, t = t, s
+    # Te4 is indexed at the uint8 lanes: four intp copies, held next to the
+    # whole schedule, would raise the search's peak memory.
+    lanes = _lanes(s)
+    for c in range(4):
+        word = _sbox_word(te4, *(lanes[(c + j) & 3, :, 3 - j] for j in range(4)))
+        np.bitwise_xor(word, rk[40 + c], out=t[c])
+    return t.T

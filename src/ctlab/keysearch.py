@@ -26,7 +26,9 @@ from .attack import CandidateReport
 
 log = logging.getLogger("ctlab.keysearch")
 
-DEFAULT_CHUNK = 1 << 16
+# Keys per chunk. Each chunk's (44, n) schedule takes 176 bytes a key, and
+# BENCH_keysearch.json measures 2^15 as no slower than 2^14 or 2^16.
+DEFAULT_CHUNK = 1 << 15
 DEFAULT_FIT_THRESHOLD = 10**8
 
 # Wall-clock measurements of this search on a slower baseline machine,
@@ -66,14 +68,16 @@ class SearchOutcome:
 def _chunk_keys(
     values: tuple[tuple[int, ...], ...], sizes: list[int], start: int, count: int
 ) -> np.ndarray:
-    # mixed-radix decode: position 15 is the fastest-varying digit
-    idx = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    # mixed-radix decode: position 15 is the fastest-varying digit. int64 is
+    # exact, since brute_force refuses spaces above 2^62 keys.
+    idx = np.arange(start, start + count, dtype=np.int64)
     out = np.empty((count, 16), dtype=np.uint8)
     for j in range(15, -1, -1):
-        radix = np.uint64(sizes[j])
-        digit = (idx % radix).astype(np.int64)
-        out[:, j] = np.asarray(values[j], dtype=np.uint8)[digit]
-        idx //= radix
+        if sizes[j] == 1:
+            out[:, j] = values[j][0]
+        else:
+            idx, digit = np.divmod(idx, sizes[j])
+            out[:, j] = np.array(values[j], dtype=np.uint8).take(digit)
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -41,6 +42,69 @@ def test_batch_kernel_matches_scalar_cipher():
         ks.expand_batch(keys.astype(np.uint32))
     with pytest.raises(ValueError):
         ks.expand_batch(keys[:, :15])
+
+
+def test_encrypt_batch_refuses_inputs_its_byte_lanes_would_misread():
+    schedule = ks.expand_batch(np.zeros((3, 16), dtype=np.uint8))
+    refused = (
+        schedule.astype(np.int64),
+        schedule.astype(">u4"),
+        schedule[:, :43],
+        schedule[0],
+        schedule[None],
+        schedule.tolist(),
+    )
+    for bad in refused:
+        with pytest.raises(ValueError, match="schedule"):
+            ks.encrypt_batch(bytes(16), bad)
+    for bad_pt in (bytes(15), bytes(17), "0" * 16):
+        with pytest.raises(ValueError, match="plaintext"):
+            ks.encrypt_batch(bad_pt, schedule)
+
+
+def _decode(values, index: int) -> bytes:
+    """Pure-Python mixed-radix decode of the key at 0-based rank index."""
+    key = []
+    for column in reversed(values):
+        index, digit = divmod(index, len(column))
+        key.append(column[digit])
+    return bytes(reversed(key))
+
+
+def _chunk_rows(values, start: int, count: int) -> list[bytes]:
+    chunk = ks._chunk_keys(values, [len(v) for v in values], start, count)
+    assert chunk.shape == (count, 16) and chunk.dtype == np.uint8
+    return [row.tobytes() for row in chunk]
+
+
+def test_chunk_keys_match_a_pure_python_enumeration():
+    rng = random.Random(2323)
+    # radix 1, radix 256 and others; 53,760 keys, so chunks of 16,384 end
+    # in a partial chunk of 4,608
+    radices = (1, 3, 256, 1, 2, 1, 1, 1, 5, 1, 1, 1, 1, 1, 1, 7)
+    values = tuple(tuple(rng.sample(range(256), r)) for r in radices)
+    product = [bytes(key) for key in itertools.product(*values)]
+    total = len(product)
+    assert total == math.prod(radices) == 53_760
+    chunk = 16_384
+    got = []
+    for start in range(0, total, chunk):
+        got += _chunk_rows(values, start, min(chunk, total - start))
+    assert got == product
+    assert [_decode(values, i) for i in range(0, total, 97)] == product[::97]
+
+    # a start above 2^40 in a product of over 2^41 keys, and the last keys
+    # of the largest space brute_force accepts, 2^62
+    radices = (256, 1, 256, 3, 256, 1, 256, 2, 256, 1, 1, 5, 1, 1, 1, 7)
+    values = tuple(tuple(rng.sample(range(256), r)) for r in radices)
+    total = math.prod(radices)
+    assert total > 1 << 41
+    for start in ((1 << 40) + 12_345, total - 3_000):
+        assert _chunk_rows(values, start, 3_000) == [_decode(values, start + i) for i in range(3_000)]
+    values = tuple(tuple(rng.sample(range(256), r)) for r in (256,) * 7 + (64,) + (1,) * 8)
+    total = 1 << 62
+    assert math.prod(len(v) for v in values) == total
+    assert _chunk_rows(values, total - 3_000, 3_000) == [_decode(values, total - 3_000 + i) for i in range(3_000)]
 
 
 def _report_for(values_per_position) -> CandidateReport:
