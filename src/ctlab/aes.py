@@ -10,15 +10,17 @@ Encryption only. Ten rounds, 44-word key schedule. When a trace sink is
 supplied, every lookup of index i in table t appends record[t][i]; one
 encryption always produces exactly 160 entries (16 lookups per round for
 rounds 1..9 on Te0..Te3, then 16 final-round Te4 lookups). The default
-record, PAIRS, yields (table_id, index) pairs; the simulator passes a
-layout's rows instead and so records byte addresses directly.
+record, PAIRS, yields (table_id, index) pairs; the simulator passes the
+rows countermeasures.make_state gave its server instead and so records
+byte addresses directly.
 
 expand_batch and encrypt_batch run the same cipher over numpy for key
 search (many keys, one plaintext, no trace). They store words as '<u4', so
 lane 3 of a word's uint8 view is its high byte on every host, and they
-read every table index as such a byte lane, with no shift or mask: the
-Te0..Te3 rounds gather with take. Every S-box word, scalar or batch, comes
-from _sbox_word, which masks one byte out of each of four Te4 words.
+read every table index as such a byte lane, with no shift or mask: every
+table gather, Te4's included, is a take. Every S-box word, scalar or batch,
+comes from _sbox_word, which masks one byte out of each of four Te4 words
+the caller looked up.
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ def _check16(data: bytes, what: str) -> None:
         raise ValueError(f"{what} must be exactly 16 bytes")
 
 
-def _sbox_word(te4, a, b, c, d):
-    """S[a], S[b], S[c], S[d] packed high lane first, each masked out of a Te4
-    word: ints index Te4 as a tuple, byte-lane arrays index it as an array."""
-    return (te4[a] & 0xFF000000) ^ (te4[b] & 0x00FF0000) ^ (te4[c] & 0x0000FF00) ^ (te4[d] & 0xFF)
+def _sbox_word(w0, w1, w2, w3):
+    """The S-box bytes of four looked-up Te4 words packed high lane first,
+    w0's in the high lane; ints, or elementwise on uint32 arrays."""
+    return (w0 & 0xFF000000) ^ (w1 & 0x00FF0000) ^ (w2 & 0x0000FF00) ^ (w3 & 0xFF)
 
 
 def expand_key(key: bytes) -> list[int]:
@@ -110,7 +112,7 @@ def expand_key(key: bytes) -> list[int]:
     for i in range(4, 44):
         t = w[i - 1]
         if i % 4 == 0:  # SubWord(RotWord(t)) ^ Rcon
-            t = _sbox_word(te4, (t >> 16) & 0xFF, (t >> 8) & 0xFF, t & 0xFF, t >> 24)
+            t = _sbox_word(te4[(t >> 16) & 0xFF], te4[(t >> 8) & 0xFF], te4[t & 0xFF], te4[t >> 24])
             t ^= RCON[i // 4 - 1] << 24
         w.append(w[i - 4] ^ t)
     return w
@@ -129,7 +131,7 @@ def encrypt(
     when a sink is given, then XORs the looked-up words; the untraced
     path pays one ``is not None`` test per round for the hook. record
     holds five 256-entry rows, one per table: PAIRS by default, or a
-    MemoryLayout's rows to record byte addresses.
+    server's rows from countermeasures.make_state to record byte addresses.
     """
     _check16(plaintext, "plaintext")
     if len(round_keys) != 44:
@@ -168,10 +170,10 @@ def encrypt(
             r4[c0], r4[c1], r4[c2], r4[c3],
             r4[d0], r4[d1], r4[d2], r4[d3],
         )
-    s0 = _sbox_word(te4, a0, a1, a2, a3) ^ rk[40]
-    s1 = _sbox_word(te4, b0, b1, b2, b3) ^ rk[41]
-    s2 = _sbox_word(te4, c0, c1, c2, c3) ^ rk[42]
-    s3 = _sbox_word(te4, d0, d1, d2, d3) ^ rk[43]
+    s0 = _sbox_word(te4[a0], te4[a1], te4[a2], te4[a3]) ^ rk[40]
+    s1 = _sbox_word(te4[b0], te4[b1], te4[b2], te4[b3]) ^ rk[41]
+    s2 = _sbox_word(te4[c0], te4[c1], te4[c2], te4[c3]) ^ rk[42]
+    s3 = _sbox_word(te4[d0], te4[d1], te4[d2], te4[d3]) ^ rk[43]
     return ((s0 << 96) | (s1 << 64) | (s2 << 32) | s3).to_bytes(16, "big")
 
 
@@ -196,8 +198,8 @@ def expand_batch(keys: np.ndarray) -> np.ndarray:
     lanes = _lanes(w)
     for i in range(4, 44):
         t = w[i - 1]
-        if i % 4 == 0:  # SubWord(RotWord(t)) ^ Rcon; intp lanes index fastest
-            t = _sbox_word(te4, *(lanes[i - 1, :, j].astype(np.intp) for j in (2, 1, 0, 3)))
+        if i % 4 == 0:  # SubWord(RotWord(t)) ^ Rcon
+            t = _sbox_word(*(te4.take(lanes[i - 1, :, j]) for j in (2, 1, 0, 3)))
             t ^= RCON[i // 4 - 1] << 24
         np.bitwise_xor(w[i - 4], t, out=w[i])
     return w.T
@@ -227,10 +229,8 @@ def encrypt_batch(plaintext: bytes, schedule: np.ndarray) -> np.ndarray:
             t[c] ^= te3.take(lanes[(c + 3) & 3, :, 0])
             t[c] ^= rk[k + c]
         s, t = t, s
-    # Te4 is indexed at the uint8 lanes: four intp copies, held next to the
-    # whole schedule, would raise the search's peak memory.
     lanes = _lanes(s)
     for c in range(4):
-        word = _sbox_word(te4, *(lanes[(c + j) & 3, :, 3 - j] for j in range(4)))
+        word = _sbox_word(*(te4.take(lanes[(c + j) & 3, :, 3 - j]) for j in range(4)))
         np.bitwise_xor(word, rk[40 + c], out=t[c])
     return t.T

@@ -8,12 +8,10 @@ model counts hits; CacheConfig.cycles alone prices a hit count in cycles.
 
 run_encryption replays one encryption's table byte addresses, optionally
 interleaving extra addresses, and returns the replay's cycles: the model
-prices cache accesses and nothing else. It knows nothing of layouts or
-countermeasures: a MemoryLayout's rows place entry (t, i) at rows[t][i],
-and a server hands that one record both to aes.encrypt, which traces by
-it, and to countermeasures.make_state, which places its prefetch runs by
-it once. PACKED_LAYOUT and PARTITIONED_LAYOUT are the only two layouts
-in use.
+prices cache accesses and nothing else. It is a pure address model and
+imports nothing from ctlab: where the tables sit and what a countermeasure
+adds are decided in countermeasures.make_state, and addresses arrive here
+already placed.
 
 CacheState.walk replays a fixed address sequence (a WorkingSet)
 incrementally, and exactly. Under LRU, replaying a sequence on the state
@@ -31,12 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-
-from .aes import TABLE_BYTES
-
-
-class LayoutError(ValueError):
-    """Raised for table bases that are negative or overlap."""
 
 
 def _is_pow2(n: int) -> bool:
@@ -65,38 +57,6 @@ class CacheConfig:
     def cycles(self, hits, accesses):
         """Cycles of accesses that hit hits times; elementwise on numpy arrays."""
         return hits * self.hit_cycles + (accesses - hits) * self.miss_cycles
-
-
-class MemoryLayout:
-    """Byte base addresses for Te0..Te4; each table occupies 1024 bytes.
-
-    rows[t][i] is the byte address of index i of table t, the record
-    aes.encrypt and countermeasures.make_state place entries by.
-    """
-
-    def __init__(self, bases: tuple[int, int, int, int, int]) -> None:
-        regions = sorted((b, b + TABLE_BYTES) for b in bases)
-        for b, _ in regions:
-            if b < 0:
-                raise LayoutError("table base addresses must be non-negative")
-        for (_, end), (nxt, _) in zip(regions, regions[1:]):
-            if nxt < end:
-                raise LayoutError("table regions overlap")
-        self.bases = tuple(bases)
-        self.rows = tuple(tuple(b + 4 * i for i in range(256)) for b in self.bases)
-
-
-PACKED_BASE = 0x40000
-
-# Partition alignments: Te0 on 0x10, then each further table on the next
-# 16x coarser boundary, giving every table a private address stripe.
-PARTITION_BASES = (0x10, 0x1000, 0x10000, 0x100000, 0x1000000)
-
-
-# Five tables contiguous at a 64-byte-aligned base.
-PACKED_LAYOUT = MemoryLayout(tuple(PACKED_BASE + i * TABLE_BYTES for i in range(5)))
-# Each table isolated on its own progressively coarser alignment.
-PARTITIONED_LAYOUT = MemoryLayout(PARTITION_BASES)
 
 
 class WorkingSet:

@@ -17,15 +17,14 @@ adds the key, and harness.ExperimentConfig the rest of an experiment.
 packet_size runs from HEADER_LEN to MAX_PACKET_SIZE, the largest UDP
 payload over IPv4.
 
-One backend answers timing requests: SimulatedBackend. It fixes its
-table layout (countermeasures.table_layout) and builds its countermeasure
-draw stream (countermeasures.make_state, seeded with prng_seed) once,
-when it is built. The layout's rows place every table access: each
-encryption's trace and, once, the prefetch runs, as byte addresses. Each
-request takes one draw, which countermeasures.apply prices. The backend
-replays the trace and any drawn accesses through the deterministic cache
-model with run_encryption, and under encrypt_only scope reports exactly
-the cycles it returns plus the draw's flat extra cycles.
+One backend answers timing requests: SimulatedBackend. When it is built,
+countermeasures.make_state (seeded with prng_seed) gives it its table rows
+and its stream of disturbance reports. The rows place every table access
+of each encryption's trace as a byte address. Each request takes the
+next report with countermeasures.apply. The backend replays the trace
+and the report's extra accesses through the deterministic cache model
+with run_encryption, and under encrypt_only scope reports exactly the
+cycles it returns plus the report's flat extra cycles.
 
 The simulated handler also walks its own working set through the same
 cache on every request: the datagram buffer (packet_size bytes at a
@@ -56,7 +55,7 @@ from functools import lru_cache
 from .aes import encrypt, expand_key
 from .attack import ChannelError
 from .cachesim import CacheConfig, CacheState, WorkingSet, run_encryption
-from .countermeasures import Kind, apply, make_state, table_layout
+from .countermeasures import Kind, apply, make_state
 
 log = logging.getLogger("ctlab.channel")
 
@@ -177,8 +176,7 @@ class SimulatedBackend:
         self.round_keys = expand_key(config.key)
         self.cache = CacheState(config.cache)
         self.kind = config.countermeasure
-        self.layout = table_layout(config.countermeasure)
-        self.cm_state = make_state(config.countermeasure, config.prng_seed, self.layout.rows)
+        self.rows, self.cm_state = make_state(config.countermeasure, config.prng_seed)
         parse, scratch, self.working_set = _handler_working_set(
             config.cache, config.packet_size, config.scratch_lines, config.scratch_seed
         )
@@ -190,7 +188,7 @@ class SimulatedBackend:
         disturbance = apply(self.kind, self.cm_state)
         walk_hits = self.cache.walk(self.working_set)
         trace: list[int] = []
-        ct = encrypt(plaintext, self.round_keys, trace, self.layout.rows)
+        ct = encrypt(plaintext, self.round_keys, trace, self.rows)
         cycles = run_encryption(self.cache, trace, disturbance.extra_accesses) + disturbance.extra_cycles
         if self.config.timing_scope == "whole_handler":
             cycles += self.config.cache.cycles(walk_hits, len(self.working_set.addresses))
@@ -284,14 +282,6 @@ class TimingServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def start_server_thread(config: ChannelConfig, host: str = "127.0.0.1", port: int = 0):
-    """Spawn a server on an ephemeral port; returns (server, thread)."""
-    server = TimingServer(config, host, port)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, thread
 
 
 class UdpOracle:

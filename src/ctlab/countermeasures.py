@@ -1,18 +1,14 @@
 """Timing-attack countermeasures as pure disturbance generators.
 
-Each countermeasure describes what it would add to one encryption:
-flat extra cycles or extra table accesses to interleave. Cache
-partitioning instead fixes where a server places its tables, once
-(table_layout). Ciphertexts are never touched, so every variant is
-semantics-preserving by construction.
-
-Each countermeasure's behaviour lives in two places. make_state builds,
-once per server, an endless iterator of what the server draws for each
-request: random_loop's and specified_loop's loop counts, prefetch's
-access runs. apply takes one request's draw and prices it. make_state
-places each prefetch entry (t, i) as record[t][i], the rule aes.encrypt
-traces by: the default aes.PAIRS keeps (table, index) pairs, and a
-layout's rows give byte addresses.
+make_state(kind, seed) is the one place a countermeasure kind decides
+anything. It returns what a server fixes once, when it is built: its
+table rows (rows[t][i] is the byte address of index i of table t;
+cache_partition gives each table its own alignment, every other kind
+packs the five) and its endless stream of DisturbanceReports, one per
+request: flat extra cycles, or extra table accesses placed by the same
+rows. Each distinct report is built once, and apply takes the next one.
+Ciphertexts are never touched, so every variant is semantics-preserving
+by construction.
 """
 
 from __future__ import annotations
@@ -23,8 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import cycle, repeat
 
-from .aes import PAIRS
-from .cachesim import PACKED_LAYOUT, PARTITIONED_LAYOUT, MemoryLayout
+from .aes import TABLE_BYTES
 
 
 class Kind(enum.Enum):
@@ -34,6 +29,16 @@ class Kind(enum.Enum):
     PREFETCH = "prefetch"
     CACHE_PARTITION = "cache_partition"
 
+
+def _rows(bases) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(b + 4 * i for i in range(256)) for b in bases)
+
+
+# Five tables contiguous at a 64-byte-aligned base.
+PACKED_ROWS = _rows(0x40000 + t * TABLE_BYTES for t in range(5))
+# Partition alignments: Te0 on 0x10, then each further table on the next
+# 16x coarser boundary, giving every table a private address stripe.
+PARTITIONED_ROWS = _rows((0x10, 0x1000, 0x10000, 0x100000, 0x1000000))
 
 # Flat cycle charges for disturbance work outside the cache model.
 RNG_CYCLES = 3800       # one PRNG draw
@@ -62,43 +67,40 @@ PREFETCH_RUNS = tuple(
 @dataclass(frozen=True)
 class DisturbanceReport:
     extra_cycles: int = 0
-    extra_accesses: Sequence = ()  # entries of the record make_state placed runs by
+    extra_accesses: Sequence = ()  # byte addresses, placed by the server's rows
 
 
 NO_DISTURBANCE = DisturbanceReport()
 
 
-def table_layout(kind: Kind) -> MemoryLayout:
-    """Where a server running kind places its tables, for its whole life."""
-    return PARTITIONED_LAYOUT if kind is Kind.CACHE_PARTITION else PACKED_LAYOUT
+def make_state(kind: Kind, seed: int = 1):
+    """A server's (rows, stream): its table rows and its endless stream of
+    per-request DisturbanceReports.
 
-
-def make_state(kind: Kind, seed: int = 1, record: Sequence = PAIRS):
-    """A server's endless stream of per-request draws; None for stateless kinds.
-
-    random_loop draws random.Random(seed).randrange(RANDOM_LOOP_BOUND),
-    specified_loop cycles SPECIFIED_COUNTS, and prefetch cycles its runs,
-    request k taking run 5k mod 16: each request moves on five windows.
-    Each run entry (t, i) is placed as record[t][i], the rule aes.encrypt
-    traces by (IndexError on an entry outside the tables).
+    random_loop charges a loop count drawn by
+    random.Random(seed).randrange(RANDOM_LOOP_BOUND), specified_loop
+    cycles SPECIFIED_COUNTS, and prefetch cycles its runs, request k
+    taking run 5k mod 16: each request moves on five windows. Each run
+    entry (t, i) is placed as rows[t][i] (IndexError on an entry outside
+    the tables). none and cache_partition add nothing.
     """
+    rows = PARTITIONED_ROWS if kind is Kind.CACHE_PARTITION else PACKED_ROWS
     if kind is Kind.RANDOM_LOOP:
-        return map(random.Random(seed).randrange, repeat(RANDOM_LOOP_BOUND))
+        reports = [DisturbanceReport(RNG_CYCLES + n * LOOP_ITER_CYCLES)
+                   for n in range(RANDOM_LOOP_BOUND)]
+        draws = map(random.Random(seed).randrange, repeat(RANDOM_LOOP_BOUND))
+        return rows, map(reports.__getitem__, draws)
     if kind is Kind.SPECIFIED_LOOP:
-        return cycle(SPECIFIED_COUNTS)
+        return rows, cycle([DisturbanceReport(DIV_CYCLES + n * LOOP_ITER_CYCLES)
+                            for n in SPECIFIED_COUNTS])
     if kind is Kind.PREFETCH:
-        runs = [tuple(record[t][i] for t, i in run) for run in PREFETCH_RUNS]
-        return cycle([runs[5 * k % len(runs)] for k in range(len(runs))])
-    return None
+        runs = [DisturbanceReport(extra_accesses=tuple(rows[t][i] for t, i in run))
+                for run in PREFETCH_RUNS]
+        return rows, cycle([runs[5 * k % len(runs)] for k in range(len(runs))])
+    return rows, repeat(NO_DISTURBANCE)
 
 
-def apply(kind: Kind, state=None) -> DisturbanceReport:
-    """Price the next draw of state, what make_state built for the same
-    kind; none and cache_partition add nothing."""
-    if kind is Kind.RANDOM_LOOP:
-        return DisturbanceReport(RNG_CYCLES + next(state) * LOOP_ITER_CYCLES)
-    if kind is Kind.SPECIFIED_LOOP:
-        return DisturbanceReport(DIV_CYCLES + next(state) * LOOP_ITER_CYCLES)
-    if kind is Kind.PREFETCH:
-        return DisturbanceReport(extra_accesses=next(state))
-    return NO_DISTURBANCE
+def apply(kind: Kind, state) -> DisturbanceReport:
+    """The next request's report from state, the stream make_state built
+    for kind. kind goes unread: it lets a profiler tell the kinds apart."""
+    return next(state)

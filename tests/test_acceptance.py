@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from cache_oracle import RecencyOracle
+from loopback import start_server_thread
 from reference_aes import reference_encrypt
 
 from ctlab import aes
@@ -23,15 +24,16 @@ from ctlab import attack as atk
 from ctlab import channel as ch
 from ctlab import harness as hn
 from ctlab import keysearch as ks
-from ctlab.cachesim import (
-    PACKED_LAYOUT,
-    PARTITIONED_LAYOUT,
-    CacheConfig,
-    CacheState,
-    run_encryption,
+from ctlab.cachesim import CacheConfig, CacheState, run_encryption
+from ctlab.channel import ChannelConfig, SimulatedBackend, UdpOracle
+from ctlab.countermeasures import (
+    DIV_CYCLES,
+    LOOP_ITER_CYCLES,
+    PACKED_ROWS,
+    PARTITIONED_ROWS,
+    Kind,
+    make_state,
 )
-from ctlab.channel import ChannelConfig, SimulatedBackend, UdpOracle, start_server_thread
-from ctlab.countermeasures import Kind, make_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,7 +79,9 @@ def test_criterion_02_countermeasures_preserve_ciphertexts():
 
 
 def test_criterion_03_specified_loop_sequence():
-    first_six = list(islice(make_state(Kind.SPECIFIED_LOOP), 6))
+    _, stream = make_state(Kind.SPECIFIED_LOOP)
+    first_six = [(report.extra_cycles - DIV_CYCLES) // LOOP_ITER_CYCLES
+                 for report in islice(stream, 6)]
     assert first_six == [104, 6, 0, 104, 6, 0]
     print(f"\ncriterion 3 PASS: iteration counts {first_six}")
 
@@ -184,13 +188,13 @@ def test_criterion_09_cache_simulator_oracle_equivalence():
     # cold-start misses equal the distinct-line count of the trace
     deep = CacheConfig(line_size=64, num_sets=32768, assoc=8)
     rng = random.Random(0xC01D)
-    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
+    for rows in (PACKED_ROWS, PARTITIONED_ROWS):
         for _ in range(100):
             key, pt = rng.randbytes(16), rng.randbytes(16)
             trace: list[tuple[int, int]] = []
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
             cold = CacheState(deep)
-            addresses = [layout.bases[t] + 4 * i for t, i in trace]
+            addresses = [rows[t][0] + 4 * i for t, i in trace]
             run_encryption(cold, addresses)
             lines = {a >> 6 for a in addresses}
             assert cold.misses == len(lines)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ctlab import aes
-from ctlab.cachesim import PACKED_LAYOUT, PARTITIONED_LAYOUT
+from ctlab.countermeasures import PACKED_ROWS, PARTITIONED_ROWS
 from reference_aes import (
     REF_SBOX,
     _add_round_key,
@@ -91,15 +91,15 @@ def test_traced_and_plain_agree():
 
 def test_address_trace_is_the_resolved_pair_trace():
     rng = random.Random(0xADD5)
-    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
+    for rows in (PACKED_ROWS, PARTITIONED_ROWS):
         for _ in range(500):
             key, pt = rng.randbytes(16), rng.randbytes(16)
             rk = aes.expand_key(key)
             pairs: list[tuple[int, int]] = []
             addresses: list[int] = []
             ct = aes.encrypt(pt, rk, pairs)
-            assert aes.encrypt(pt, rk, addresses, layout.rows) == ct
-            assert addresses == [layout.bases[t] + 4 * i for t, i in pairs]
+            assert aes.encrypt(pt, rk, addresses, rows) == ct
+            assert addresses == [rows[t][0] + 4 * i for t, i in pairs]
 
 
 def test_trace_shape_and_table_sequence():

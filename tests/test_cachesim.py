@@ -1,29 +1,44 @@
-"""Cache model: LRU semantics, layouts, replay arithmetic."""
+"""Cache model: LRU semantics, table rows, replay arithmetic, layering."""
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from ctlab import aes
+from ctlab import aes, cachesim
 from ctlab.cachesim import (
-    PACKED_LAYOUT,
-    PARTITIONED_LAYOUT,
     CacheConfig,
     CacheState,
-    LayoutError,
-    MemoryLayout,
     WorkingSet,
     interleave_accesses,
     run_encryption,
 )
+from ctlab.countermeasures import PACKED_ROWS, PARTITIONED_ROWS
 from cache_oracle import RecencyOracle
 
+PACKED_BASES = (0x40000, 0x40400, 0x40800, 0x40C00, 0x41000)
+PARTITION_BASES = (0x10, 0x1000, 0x10000, 0x100000, 0x1000000)
 
-def place(layout: MemoryLayout, entries) -> list[int]:
+
+def place(bases, entries) -> list[int]:
     """Oracle placement: entry (t, i) sits 4 * i bytes into table t."""
-    return [layout.bases[t] + 4 * i for t, i in entries]
+    return [bases[t] + 4 * i for t, i in entries]
+
+
+def test_cache_model_imports_nothing_from_ctlab():
+    # the cache model is a pure address model: tables and countermeasures
+    # place addresses before they reach it
+    tree = ast.parse(Path(cachesim.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [m for m in imported if m.startswith(".") or m.split(".")[0] == "ctlab"]
 
 
 def test_config_validation():
@@ -36,29 +51,26 @@ def test_config_validation():
 
 
 def test_layout_disjointness():
-    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
-        regions = [(b, b + 1024) for b in layout.bases]
+    for rows in (PACKED_ROWS, PARTITIONED_ROWS):
+        regions = [(row[0], row[-1] + 4) for row in rows]
         for i, (s1, e1) in enumerate(regions):
+            assert s1 >= 0
             for s2, e2 in regions[i + 1 :]:
                 assert e1 <= s2 or e2 <= s1
-    with pytest.raises(LayoutError):
-        MemoryLayout((0, 512, 4096, 8192, 16384))
 
 
 def test_element_address():
-    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
-        assert layout.rows[0][0] == layout.bases[0]
-        assert layout.rows[2][7] == layout.bases[2] + 28
-        assert layout.rows == tuple(
-            tuple(layout.bases[t] + 4 * i for i in range(256)) for t in range(5)
-        )
+    for rows, bases in ((PACKED_ROWS, PACKED_BASES), (PARTITIONED_ROWS, PARTITION_BASES)):
+        assert rows[0][0] == bases[0]
+        assert rows[2][7] == bases[2] + 28
+        assert rows == tuple(tuple(bases[t] + 4 * i for i in range(256)) for t in range(5))
 
 
 def test_partitioned_set_ranges_disjoint_te0_to_te3():
     # A large outer cache separates the four alignment stripes.
     cfg = CacheConfig(line_size=64, num_sets=32768, assoc=1)
     ranges = []
-    for base in PARTITIONED_LAYOUT.bases[:4]:
+    for base in PARTITION_BASES[:4]:
         sets = {((base + off) // cfg.line_size) % cfg.num_sets for off in range(0, 1024, 4)}
         ranges.append(sets)
     for i, a in enumerate(ranges):
@@ -116,7 +128,6 @@ def _random_trace(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 def test_more_ways_or_sets_never_hurt():
     rng = random.Random(77)
-    layout = PACKED_LAYOUT
     for _ in range(20):
         trace = _random_trace(rng, 400)
         for base_cfg, grown_cfg in [
@@ -126,21 +137,21 @@ def test_more_ways_or_sets_never_hurt():
             (CacheConfig(4, 64, 1), CacheConfig(4, 128, 1)),
         ]:
             small, big = CacheState(base_cfg), CacheState(grown_cfg)
-            run_encryption(small, place(layout, trace))
-            run_encryption(big, place(layout, trace))
+            run_encryption(small, place(PACKED_BASES, trace))
+            run_encryption(big, place(PACKED_BASES, trace))
             assert big.misses <= small.misses
 
 
 def test_cold_misses_equal_distinct_lines():
     rng = random.Random(5)
     cfg = CacheConfig(line_size=64, num_sets=64, assoc=8)
-    for layout in (PACKED_LAYOUT, PARTITIONED_LAYOUT):
+    for bases in (PACKED_BASES, PARTITION_BASES):
         for _ in range(25):
             key, pt = rng.randbytes(16), rng.randbytes(16)
             trace: list[tuple[int, int]] = []
             aes.encrypt(pt, aes.expand_key(key), trace=trace)
             cold = CacheState(cfg)
-            addresses = place(layout, trace)
+            addresses = place(bases, trace)
             run_encryption(cold, addresses)
             lines = {a // cfg.line_size for a in addresses}
             assert cold.misses == len(lines)
@@ -152,7 +163,7 @@ def test_second_run_all_hits_when_capacity_fits():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
-    addresses = place(PACKED_LAYOUT, trace)
+    addresses = place(PACKED_BASES, trace)
     run_encryption(st, addresses)
     before = st.misses
     run_encryption(st, addresses)
@@ -164,7 +175,7 @@ def test_cold_flush_resets_each_run():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(bytes(16), aes.expand_key(bytes(16)), trace=trace)
-    addresses = place(PACKED_LAYOUT, trace)
+    addresses = place(PACKED_BASES, trace)
     run_encryption(st, addresses)
     first = st.misses
     run_encryption(st, addresses)
@@ -176,7 +187,7 @@ def test_cycle_arithmetic_exact():
     st = CacheState(cfg)
     trace: list[tuple[int, int]] = []
     aes.encrypt(b"\x01" * 16, aes.expand_key(b"\x02" * 16), trace=trace)
-    cycles = run_encryption(st, place(PACKED_LAYOUT, trace))
+    cycles = run_encryption(st, place(PACKED_BASES, trace))
     assert cycles == st.hits * 2 + st.misses * 50
     assert st.accesses == 160
 

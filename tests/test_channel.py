@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+from loopback import start_server_thread
+
 from ctlab import aes
 from ctlab import attack as atk
 from ctlab import channel as ch
@@ -111,7 +113,7 @@ BARE_GEOMETRIES = {
 def test_every_kind_is_bit_identical_to_bare_pipeline():
     """handle's incremental walk equals replaying every handler line, for all kinds."""
     from ctlab.cachesim import CacheState, run_encryption
-    from ctlab.countermeasures import apply, make_state, table_layout
+    from ctlab.countermeasures import apply, make_state
 
     rk = aes.expand_key(KEY)
     for name, geometry in BARE_GEOMETRIES.items():
@@ -119,14 +121,9 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
             cfg = _cfg(countermeasure=kind, **geometry)
             backend = ch.SimulatedBackend(cfg)
             bare_cache = CacheState(cfg.cache)
-            # a draw stream of its own; prefetch's runs stay (table, index)
-            # entries, placed below on each request
-            cm_state = make_state(kind, cfg.prng_seed)
-            layout = table_layout(kind)
-
-            def place(entries):
-                return [layout.bases[t] + 4 * i for t, i in entries]
-
+            # rows and a report stream of its own; the (table, index) trace
+            # is placed by the rows below on each request
+            rows, cm_state = make_state(kind, cfg.prng_seed)
             rng = random.Random(12)
             for _ in range(40):
                 pt = rng.randbytes(16)
@@ -137,7 +134,7 @@ def test_every_kind_is_bit_identical_to_bare_pipeline():
                 trace: list[tuple[int, int]] = []
                 aes.encrypt(pt, rk, trace=trace)
                 want = run_encryption(
-                    bare_cache, place(trace), place(disturbance.extra_accesses)
+                    bare_cache, [rows[t][i] for t, i in trace], disturbance.extra_accesses
                 ) + disturbance.extra_cycles
                 if cfg.timing_scope == "whole_handler":
                     want += cfg.cache.cycles(parse, len(backend.parse_addrs))
@@ -188,7 +185,7 @@ def test_whole_handler_scope_counts_packet_walk():
 
 
 def test_loopback_simulated_session():
-    server, thread = ch.start_server_thread(_cfg(scratch_lines=8))
+    server, thread = start_server_thread(_cfg(scratch_lines=8))
     try:
         endpoint = server.address
         rng = random.Random(3)
@@ -211,7 +208,7 @@ def test_retransmitted_request_gets_the_same_reply_and_moves_no_state(kind):
     """A byte-identical repeat of the last datagram gets the stored reply, so
     every later reply still equals a mirror backend that served it once."""
     cfg = _cfg(countermeasure=kind, **BARE_GEOMETRIES["attack"])
-    server, thread = ch.start_server_thread(cfg)
+    server, thread = start_server_thread(cfg)
     mirror = ch.SimulatedBackend(cfg)
     rng = random.Random(8)
     try:
@@ -234,7 +231,7 @@ def test_retransmitted_request_gets_the_same_reply_and_moves_no_state(kind):
 
 
 def test_server_survives_malformed_datagrams():
-    server, thread = ch.start_server_thread(_cfg())
+    server, thread = start_server_thread(_cfg())
     try:
         with ch.UdpOracle(server.address) as oracle:
             for junk in (b"", b"\x01", b"\x09" + bytes(16), b"a" * 5):
@@ -265,7 +262,7 @@ class _FailingOnce:
 
 def test_server_survives_a_failing_request():
     cfg = _cfg(scratch_lines=8)
-    server, thread = ch.start_server_thread(cfg)
+    server, thread = start_server_thread(cfg)
     server.backend = _FailingOnce(server.backend, "handle", RuntimeError("boom"))
     mirror = ch.SimulatedBackend(cfg)
     try:

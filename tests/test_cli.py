@@ -18,12 +18,14 @@ from pathlib import Path
 
 import pytest
 
+from loopback import start_server_thread
+
 import ctlab
 from ctlab import aes
 from ctlab import attack as atk
 from ctlab import harness as hn
 from ctlab import keysearch
-from ctlab.channel import ChannelConfig, UdpOracle, start_server_thread
+from ctlab.channel import ChannelConfig, UdpOracle
 from ctlab.cli import build_parser, main
 
 STUDY_KEY = "2b7e151628aed2a6abf7158809cf4f3c"
