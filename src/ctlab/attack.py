@@ -7,6 +7,9 @@ profiles taken under two different keys are XOR-translates of each
 other, so sliding one against the other recovers the XOR difference of
 the keys, hence the unknown key when one of them is known.
 
+A TimingProfile is three (16, 256) int64 arrays, filled in batches by its
+add, which keeps every position's totals below MAX_TOTAL = 2^63.
+
 Every lab CSV (profile, candidates, report) is read through read_rows,
 which names the line of the first bad header, row width or cell.
 """
@@ -15,10 +18,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,10 +32,12 @@ VALUES = 256
 PROFILE_HEADER = ("position", "value", "count", "sum_cycles", "sumsq_cycles")
 CANDIDATE_HEADER = ("position", "value", "score")
 
-# A position's sample and cycle totals stay below this, so every cell
-# converts to float64, and correlate's scores (sums of 256 products of
-# deviations, each under its total) and their spread stay finite.
-MAX_TOTAL = 1 << 200
+# No position's total of counts, of sums or of sums of squares may reach
+# this, so every int64 cell and every int64 sum over a profile is exact.
+MAX_TOTAL = 1 << 63
+
+# collect_profile bins its samples this many at a time.
+BATCH = 4096
 
 
 class ChannelError(RuntimeError):
@@ -47,7 +53,7 @@ class ProfileError(ValueError):
 
 
 class CollectionError(RuntimeError):
-    """Too many failed measurements; partial data is preserved."""
+    """Too many failed measurements, or a refused batch; partial data is preserved."""
 
     def __init__(self, message: str, partial: "TimingProfile", failures: int):
         super().__init__(message)
@@ -56,43 +62,54 @@ class CollectionError(RuntimeError):
 
 
 class TimingProfile:
-    """Per-(position, value) accumulator of cycle counts.
+    """Per-(position, value) sample counts, cycle sums and sums of squared
+    cycles: ``counts``, ``sums`` and ``sumsqs``, three (16, 256) int64 arrays.
 
-    Sums are kept as Python ints so accumulation is exact regardless of
-    sample count or timer magnitude.
+    Samples enter only through ``add``, which keeps every position's totals
+    below MAX_TOTAL, so int64 accumulation is exact.
     """
 
     __slots__ = ("counts", "sums", "sumsqs")
 
     def __init__(self) -> None:
-        self.counts = [[0] * VALUES for _ in range(POSITIONS)]
-        self.sums = [[0] * VALUES for _ in range(POSITIONS)]
-        self.sumsqs = [[0] * VALUES for _ in range(POSITIONS)]
+        self.counts, self.sums, self.sumsqs = (
+            np.zeros((POSITIONS, VALUES), dtype=np.int64) for _ in range(3)
+        )
 
-    def add(self, plaintext: bytes, cycles: int) -> None:
-        if len(plaintext) != POSITIONS:
-            raise ProfileError("plaintext must be 16 bytes")
-        if cycles < 0:
+    def add(self, plaintexts: bytes, cycles: Sequence[int]) -> None:
+        """Bin n samples: 16 * n plaintext bytes, sample i's at [16i, 16i + 16),
+        and n cycle counts. A batch with a negative count, or one that would
+        take a position's total of counts, sums or sumsqs to MAX_TOTAL, is
+        refused whole, leaving the profile unchanged."""
+        cycles = list(map(operator.index, cycles))
+        if len(plaintexts) != POSITIONS * len(cycles):
+            raise ProfileError("need 16 plaintext bytes per cycle count")
+        if min(cycles, default=0) < 0:
             raise ProfileError("cycle count must be non-negative")
-        sq = cycles * cycles
-        for j in range(POSITIONS):
-            v = plaintext[j]
-            self.counts[j][v] += 1
-            self.sums[j][v] += cycles
-            self.sumsqs[j][v] += sq
+        # each sample adds once to every position, so max + more is the largest new total
+        added = (len(cycles), sum(cycles), sum(map(operator.mul, cycles, cycles)))
+        for name, table, more in zip(self.__slots__, (self.counts, self.sums, self.sumsqs), added):
+            if int(table.sum(axis=1).max()) + more >= MAX_TOTAL:
+                raise ProfileError(f"batch would take a position's {name} total to 2^63 or more")
+        values = np.frombuffer(plaintexts, dtype=np.uint8).reshape(-1, POSITIONS)
+        cells = (values + np.arange(0, POSITIONS * VALUES, VALUES)).ravel()  # flat (j, v)
+        per_cell = np.array(cycles, dtype=np.int64).repeat(POSITIONS)
+        np.add.at(self.counts.reshape(-1), cells, 1)
+        np.add.at(self.sums.reshape(-1), cells, per_cell)
+        np.add.at(self.sumsqs.reshape(-1), cells, per_cell * per_cell)
 
     @property
     def total_samples(self) -> int:
         # every sample lands in exactly one bucket per position
-        return sum(self.counts[0])
+        return int(self.counts[0].sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimingProfile):
             return NotImplemented
         return (
-            self.counts == other.counts
-            and self.sums == other.sums
-            and self.sumsqs == other.sumsqs
+            np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.sums, other.sums)
+            and np.array_equal(self.sumsqs, other.sumsqs)
         )
 
 
@@ -103,45 +120,48 @@ def collect_profile(
     *,
     max_failures: int = 100,
 ) -> TimingProfile:
-    """Query ``oracle`` with uniform random plaintexts and accumulate.
+    """Query ``oracle`` with uniform random plaintexts and accumulate,
+    binning BATCH samples at a time.
 
     Failed measurements are retried with fresh plaintexts; after
-    ``max_failures`` of them the collection aborts, keeping what was
-    gathered so far on the raised error.
+    ``max_failures`` of them, or when the profile refuses a batch, the
+    collection aborts, keeping the samples binned so far on the raised error.
     """
     profile = TimingProfile()
     failures = 0
-    collected = 0
-    while collected < num_samples:
-        pt = rng.randbytes(16)
+    while (binned := profile.total_samples) < num_samples:
+        plaintexts: list[bytes] = []
+        cycles: list[int] = []
+        error = None
+        while error is None and len(cycles) < min(BATCH, num_samples - binned):
+            pt = rng.randbytes(16)
+            try:
+                sample = oracle(pt)
+            except ChannelError as exc:
+                failures += 1
+                if failures >= max_failures:
+                    error = (f"aborted after {failures} failed measurements "
+                             f"({binned + len(cycles)}/{num_samples} collected); last: {exc}")
+                continue
+            plaintexts.append(pt)
+            cycles.append(sample)
         try:
-            cycles = oracle(pt)
-        except ChannelError as exc:
-            failures += 1
-            if failures >= max_failures:
-                raise CollectionError(
-                    f"aborted after {failures} failed measurements "
-                    f"({collected}/{num_samples} collected); last: {exc}",
-                    profile,
-                    failures,
-                )
-            continue
-        profile.add(pt, cycles)
-        collected += 1
+            profile.add(b"".join(plaintexts), cycles)
+        except ProfileError as exc:
+            error = f"profile refused a batch ({binned}/{num_samples} collected): {exc}"
+        if error is not None:
+            raise CollectionError(error, profile, failures)
     return profile
 
 
 def signature(profile: TimingProfile) -> np.ndarray:
     """Centered per-position timing curves, (16, 256) float64:
     mean[j][v] - mean[j], and 0 for a cell with no samples."""
-    if any(sum(row) >= MAX_TOTAL for table in (profile.counts, profile.sums) for row in table):
-        raise ProfileError("profile totals too large for float64 correlation")
-    counts = np.array(profile.counts, dtype=np.float64)
-    sums = np.array(profile.sums, dtype=np.float64)
+    counts, sums = profile.counts, profile.sums
     per_position = counts.sum(axis=1)
     if np.any(per_position == 0):
         raise ProfileError("profile has no samples")
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    means = np.divide(sums, counts, out=np.zeros(sums.shape), where=counts > 0)
     overall = sums.sum(axis=1) / per_position
     return np.where(counts > 0, means - overall[:, None], 0.0)
 
@@ -211,14 +231,13 @@ def candidate_sets(correlation: np.ndarray, spread: float = 1.0) -> CandidateRep
 
 
 def save_profile(profile: TimingProfile, path: str | Path) -> None:
+    tables = [table.tolist() for table in (profile.counts, profile.sums, profile.sumsqs)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_HEADER)
         for j in range(POSITIONS):
             for v in range(VALUES):
-                writer.writerow(
-                    (j, v, profile.counts[j][v], profile.sums[j][v], profile.sumsqs[j][v])
-                )
+                writer.writerow((j, v, *(table[j][v] for table in tables)))
 
 
 def read_rows(lines, header: tuple[str, ...], parsers, error: type[Exception]):
@@ -244,8 +263,10 @@ def read_rows(lines, header: tuple[str, ...], parsers, error: type[Exception]):
 def load_profile(path: str | Path) -> TimingProfile:
     profile = TimingProfile()
     seen = [[False] * VALUES for _ in range(POSITIONS)]
+    totals = [[0, 0, 0] for _ in range(POSITIONS)]  # per position, in Python ints
     with open(path, newline="") as fh:
-        for row in read_rows(fh, PROFILE_HEADER, (int,) * 5, ProfileError):
+        rows = read_rows(fh, PROFILE_HEADER, (int,) * 5, ProfileError)
+        for line, row in enumerate(rows, start=2):  # one row a line, as save_profile writes
             j, v, count, total, sumsq = row
             if not (0 <= j < POSITIONS and 0 <= v < VALUES):
                 raise ProfileError(f"profile cell out of range: {row!r}")
@@ -257,10 +278,13 @@ def load_profile(path: str | Path) -> TimingProfile:
                 raise ProfileError(f"profile cell with no samples has sums: {row!r}")
             if sumsq * count < total * total:
                 raise ProfileError(f"profile cell sumsq below sum^2/count: {row!r}")
+            totals[j] = [t + cell for t, cell in zip(totals[j], (count, total, sumsq))]
+            if max(totals[j]) >= MAX_TOTAL:
+                raise ProfileError(f"line {line}: position {j} total reaches 2^63")
             seen[j][v] = True
-            profile.counts[j][v] = count
-            profile.sums[j][v] = total
-            profile.sumsqs[j][v] = sumsq
+            profile.counts[j, v] = count
+            profile.sums[j, v] = total
+            profile.sumsqs[j, v] = sumsq
     if not all(all(row) for row in seen):
         raise ProfileError("profile is missing cells")
     return profile

@@ -195,7 +195,7 @@ def _collect(cfg: ChannelConfig, samples: int, seed: int) -> atk.TimingProfile:
 
 
 def _mean_cycles(profile: atk.TimingProfile) -> float:
-    return sum(profile.sums[0]) / profile.total_samples
+    return int(profile.sums[0].sum()) / profile.total_samples
 
 
 def run_experiment(

@@ -22,24 +22,98 @@ def test_profile_accumulation_by_hand():
     p = atk.TimingProfile()
     a = bytes([1] + [0] * 15)
     b = bytes([1] + [2] * 15)
-    p.add(a, 10)
-    p.add(b, 20)
+    p.add(a, [10])
+    p.add(b, [20])
     assert p.counts[0][1] == 2
     assert p.sums[0][1] == 30
     assert p.sumsqs[0][1] == 100 + 400
     assert p.counts[1][0] == 1 and p.counts[1][2] == 1
     assert p.total_samples == 2
     with pytest.raises(atk.ProfileError):
-        p.add(bytes(15), 5)
+        p.add(bytes(15), [5])
     with pytest.raises(atk.ProfileError):
-        p.add(bytes(16), -1)
+        p.add(bytes(16), [-1])
+
+
+def _reference_profile(samples) -> tuple[list[list[int]], ...]:
+    """Per-sample, per-position accumulation in Python ints: the oracle for
+    TimingProfile.add's batch binning."""
+    counts, sums, sumsqs = ([[0] * 256 for _ in range(16)] for _ in range(3))
+    for plaintext, cycles in samples:
+        for j in range(16):
+            v = plaintext[j]
+            counts[j][v] += 1
+            sums[j][v] += cycles
+            sumsqs[j][v] += cycles * cycles
+    return counts, sums, sumsqs
+
+
+def _tables(profile: atk.TimingProfile) -> tuple[list[list[int]], ...]:
+    return profile.counts.tolist(), profile.sums.tolist(), profile.sumsqs.tolist()
+
+
+def test_batch_add_matches_per_sample_reference():
+    rng = random.Random(29)
+    profile, samples = atk.TimingProfile(), []
+    for n in (0, 1, 7, 300, 0, 4096):
+        batch = [(rng.randbytes(16), rng.randrange(2**24)) for _ in range(n)]
+        profile.add(b"".join(pt for pt, _ in batch), [c for _, c in batch])
+        samples += batch
+        assert _tables(profile) == _reference_profile(samples)
+    assert profile.counts.dtype == profile.sums.dtype == profile.sumsqs.dtype == np.int64
+    assert profile.total_samples == len(samples)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+def test_collect_profile_bins_across_batches_like_the_reference(n):
+    assert atk.BATCH == 4096
+    answers, samples = random.Random(n), []
+
+    def oracle(pt: bytes) -> int:
+        if answers.random() < 0.01:
+            raise ChannelError("lost")
+        samples.append((pt, answers.randrange(10**6)))
+        return samples[-1][1]
+
+    profile = atk.collect_profile(oracle, n, random.Random(4), max_failures=10**6)
+    assert len(samples) == n
+    assert _tables(profile) == _reference_profile(samples)
+
+
+def _squares_summing_to(total: int) -> list[int]:
+    parts = []
+    while total:
+        parts.append(math.isqrt(total))
+        total -= parts[-1] ** 2
+    return parts
+
+
+def test_batch_add_refuses_a_total_of_2_63_whole():
+    profile = atk.TimingProfile()
+    profile.add(bytes(range(16)), [3])
+    cycles = _squares_summing_to(2**63 - 1 - 9)
+    profile.add(bytes(16 * len(cycles)), cycles)  # the sumsq total is now exactly 2^63 - 1
+    assert int(profile.sumsqs.sum(axis=1).max()) == 2**63 - 1
+    before = _tables(profile)
+    for plaintexts, refused in (
+        (bytes(16), [1]),  # one more square reaches 2^63
+        (bytes(32), [0, 1]),
+        (bytes(16), [2**64 - 1]),  # the largest reply a timing datagram carries
+        (bytes(32), [0, -1]),
+        (bytes(16), [0, 0]),
+    ):
+        with pytest.raises(atk.ProfileError):
+            profile.add(plaintexts, refused)
+        assert _tables(profile) == before
+    profile.add(bytes(32), [0, 0])
+    assert profile.total_samples == 1 + len(cycles) + 2
 
 
 def test_profile_csv_roundtrip(tmp_path):
     rng = random.Random(11)
     p = atk.TimingProfile()
     for _ in range(300):
-        p.add(rng.randbytes(16), rng.randrange(10**5))
+        p.add(rng.randbytes(16), [rng.randrange(10**5)])
     path = tmp_path / "profile.csv"
     atk.save_profile(p, path)
     lines = path.read_text().splitlines()
@@ -50,7 +124,7 @@ def test_profile_csv_roundtrip(tmp_path):
 
 def test_profile_csv_rejects_damage(tmp_path):
     p = atk.TimingProfile()
-    p.add(bytes(16), 1)
+    p.add(bytes(16), [1])
     path = tmp_path / "profile.csv"
     atk.save_profile(p, path)
     text = path.read_text().splitlines()
@@ -96,11 +170,12 @@ def test_bad_csv_row_raises_loader_error_naming_its_line(tmp_path, load, lines, 
     assert type(exc.value) is error
 
 
-def _load_with_last_cell(tmp_path, cell: str):
+def _load_with_last_cell(tmp_path, cell: str, before: str = "0,0,0"):
+    """The empty profile with ``cell`` at (15, 255) and ``before`` at (15, 254)."""
     path = tmp_path / "profile.csv"
     atk.save_profile(atk.TimingProfile(), path)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1] + ["15,255," + cell]) + "\n")
+    path.write_text("\n".join(lines[:-2] + ["15,254," + before, "15,255," + cell]) + "\n")
     return atk.load_profile(path)
 
 
@@ -119,13 +194,22 @@ def test_profile_csv_rejects_sums_without_samples(tmp_path, cell):
 def test_profile_csv_rejects_sumsq_below_square_of_sum(tmp_path):
     with pytest.raises(atk.ProfileError):
         _load_with_last_cell(tmp_path, "2,10,49")  # 49 * 2 < 10 * 10
-    # one sample of 2^53 + 1 with sumsq one short: float arithmetic cannot tell
-    big = 2**53 + 1
+    # one sample of 2^31 + 1 with sumsq one short: float64 cannot tell big^2 - 1
+    # from big^2, and both fit in int64
+    big = 2**31 + 1
+    assert float(big * big - 1) == float(big * big)
     with pytest.raises(atk.ProfileError):
         _load_with_last_cell(tmp_path, f"1,{big},{big * big - 1}")
     # the bounds themselves are possible cells
     assert _load_with_last_cell(tmp_path, f"1,{big},{big * big}").sumsqs[15][255] == big * big
     assert _load_with_last_cell(tmp_path, "2,10,50").counts[15][255] == 2
+    # a position's total must stay below 2^63, across its cells: the row that
+    # reaches it is refused by line, header being line 1
+    half = 2**62
+    full = _load_with_last_cell(tmp_path, f"{half - 1},0,0", f"{half},0,0")
+    assert full.counts[15].sum() == 2**63 - 1
+    with pytest.raises(atk.ProfileError, match=r"\bline 4097\b"):
+        _load_with_last_cell(tmp_path, f"{half},0,0", f"{half},0,0")
 
 
 def test_simulated_profile_roundtrips(tmp_path):
@@ -200,7 +284,7 @@ def test_weighted_deviations_sum_to_zero():
     rng = random.Random(19)
     p = atk.TimingProfile()
     for _ in range(2000):
-        p.add(rng.randbytes(16), rng.randrange(1000, 40000))
+        p.add(rng.randbytes(16), [rng.randrange(1000, 40000)])
     sig = atk.signature(p)
     counts = np.array(p.counts, dtype=np.float64)
     weighted = (counts * sig).sum(axis=1)
@@ -212,8 +296,8 @@ def test_signature_scales_linearly():
     base, doubled = atk.TimingProfile(), atk.TimingProfile()
     for _ in range(500):
         pt, cyc = rng.randbytes(16), rng.randrange(100, 5000)
-        base.add(pt, cyc)
-        doubled.add(pt, 2 * cyc)
+        base.add(pt, [cyc])
+        doubled.add(pt, [2 * cyc])
     assert np.allclose(
         2.0 * atk.signature(base), atk.signature(doubled)
     )

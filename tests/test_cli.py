@@ -174,24 +174,29 @@ def test_bad_input_fails_in_one_line_before_any_work(tmp_path, monkeypatch, name
 
 
 def _save_one_cell_profile(path, count: int, total: int) -> None:
-    """A valid profile of one 100-cycle sample, plus (position 0, value 1)
-    holding ``count`` samples that sum to ``total``."""
+    """A profile CSV of one 100-cycle sample, plus (position 0, value 1)
+    holding ``count`` samples that sum to ``total``, written as text since a
+    TimingProfile holds no position total of 2^63 or more."""
     profile = atk.TimingProfile()
-    profile.add(bytes(16), 100)
-    profile.counts[0][1], profile.sums[0][1] = count, total
-    profile.sumsqs[0][1] = -(-total * total // count)
+    profile.add(bytes(16), [100])
     atk.save_profile(profile, path)
+    lines = Path(path).read_text().splitlines()
+    lines[2] = f"0,1,{count},{total},{-(-total * total // count)}"
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def test_correlate_reads_a_count_beyond_int64(tmp_path, capsys):
-    """A cell count above 2**63 is not cast to int64, so it cannot wrap."""
+def test_correlate_refuses_a_count_beyond_int64(tmp_path):
+    """A cell count above 2**63 is refused at load, so it cannot wrap in int64."""
     path, out = tmp_path / "p.csv", tmp_path / "c.csv"
     _save_one_cell_profile(path, 10**30, 2 * 10**32)
     argv = ["correlate", "--study", str(path), "--attack", str(path), "--study-key", STUDY_KEY,
             "--out", str(out)]
-    assert main(argv) == 0
-    assert capsys.readouterr().out.startswith("candidate sizes ")
-    assert bytes.fromhex(STUDY_KEY)[0] in atk.load_candidates(out).values[0]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"cannot read {path}: line 3: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["collect", "correlate", "experiment", "report"])
@@ -200,7 +205,7 @@ def test_unwritable_out_fails_in_one_line_before_any_work(tmp_path, monkeypatch,
     out = str(tmp_path / "missing" / "x")
     profile = tmp_path / "profile.csv"
     sample = atk.TimingProfile()
-    sample.add(bytes(16), 100)
+    sample.add(bytes(16), [100])
     atk.save_profile(sample, profile)
     report = tmp_path / "report.csv"
     report.write_text(hn.emit_report(hn.REFERENCE_ROWS, "csv"))
@@ -234,6 +239,19 @@ def test_collect_failure_saves_partial_profile_and_exits_nonzero(tmp_path, capsy
     assert rc != 0
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "0/1 collected" in err[0] and str(out) in err[0]
+    assert atk.load_profile(out).total_samples == 0
+
+
+def test_collect_refused_reply_saves_partial_profile_in_one_line(tmp_path, capsys,
+                                                                  monkeypatch):
+    """A timing reply of 2^64 - 1, the largest 8 bytes carry, is refused by the
+    profile: collect keeps what was binned before it and exits with status 1."""
+    monkeypatch.setattr(UdpOracle, "__call__", lambda self, plaintext: 2**64 - 1)
+    out = tmp_path / "partial.csv"
+    rc = main(["collect", "--endpoint", "127.0.0.1:41717", "--samples", "3", "--out", str(out)])
+    assert rc == 1
+    line = _one_error_line(capsys, "collect failed: ")
+    assert "0/3 collected" in line and "2^63" in line and str(out) in line
     assert atk.load_profile(out).total_samples == 0
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from ctlab import attack as atk
 from ctlab import harness as hn
 from ctlab.attack import ChannelError
 from ctlab.cachesim import CacheConfig
@@ -141,6 +143,29 @@ def test_committed_configs_load():
         assert set(mapping) == CONFIG_KEYS, path.name
         cfg = hn.config_from_mapping(mapping)
         cfg.channel_config(cfg.attack_key, run=0)
+
+
+# SHA-256 of save_profile's output and _mean_cycles for 4,097 samples from
+# the attack.cfg server at plaintext seed 7, recorded from the per-sample
+# Python-int profile that batch binning replaced. 4,097 crosses one batch.
+PINNED_PROFILES = {
+    Kind.NONE: ("61325353c9a64876d2c969f6d23a0b6a1e57974bc699fa23c00ca74ebbcae3b0",
+                1551.691481571882),
+    Kind.PREFETCH: ("b056749a9e98a708525830e7a586a8a93acf5514eaf2054cd25ac94956a1fd44",
+                    4526.340248962656),
+}
+
+
+@pytest.mark.parametrize("kind", PINNED_PROFILES, ids=lambda kind: kind.value)
+def test_profile_bytes_and_mean_cycles_are_pinned(tmp_path, kind):
+    config = Path(__file__).resolve().parents[1] / "configs" / "attack.cfg"
+    cfg = hn.config_from_mapping(hn.load_config_file(config))
+    profile = hn._collect(cfg.channel_config(cfg.attack_key, 0, kind=kind), 4097, 7)
+    path = tmp_path / "profile.csv"
+    atk.save_profile(profile, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest(), hn._mean_cycles(profile)) == (
+        PINNED_PROFILES[kind]
+    )
 
 
 def test_channel_config_carries_every_server_setting():
